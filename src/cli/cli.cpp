@@ -117,8 +117,6 @@ std::string usage() {
       "  --strategy NAME      for `trace`/`report` (e.g. \"split+MD\")\n"
       "  --taper T            attach a T:1 tapered fat-tree fabric\n"
       "  --jobs N             worker threads (default: hardware concurrency)\n"
-      "  --batch W            repetition lane width: auto (default), 1 =\n"
-      "                       serial, or a positive width\n"
       "  --metrics FILE       for `report`/`serve`: write the JSON metrics\n"
       "  --faults FILE.json   attach a hetcomm.fault.v1 degradation plan\n"
       "                       (compare, trace, report, ranking-stability)\n"
@@ -221,16 +219,6 @@ Options Options::parse(const std::vector<std::string>& args) {
       opts.reps = static_cast<int>(to_int(value(), "--reps"));
     } else if (flag == "--jobs") {
       opts.jobs = static_cast<int>(to_int(value(), "--jobs"));
-    } else if (flag == "--batch") {
-      const std::string& text = value();
-      if (text == "auto") {
-        opts.batch = 0;
-      } else {
-        opts.batch = static_cast<int>(to_int(text, "--batch"));
-        if (opts.batch < 1) {
-          throw std::invalid_argument("--batch must be >= 1 (or 'auto')");
-        }
-      }
     } else if (flag == "--seed") {
       opts.seed = static_cast<std::uint64_t>(to_int(value(), "--seed"));
     } else if (flag == "--csv") {
@@ -395,7 +383,6 @@ core::MeasureOptions measure_options(const Options& opts,
   core::MeasureOptions mopts;
   mopts.reps = opts.reps;
   mopts.seed = opts.seed;
-  mopts.batch = opts.batch;
   mopts.noise_sigma = 0.02;
   if (opts.taper > 0.0) {
     FatTreeConfig cfg;
@@ -874,7 +861,6 @@ int cmd_serve(const Options& opts, std::ostream& os) {
   sopts.window = opts.window;
   sopts.cache_shards = opts.cache_shards;
   sopts.cache_capacity = static_cast<std::size_t>(opts.cache_entries);
-  sopts.batch = opts.batch;
   sopts.max_requests = opts.max_requests;
   sopts.max_queue = static_cast<std::size_t>(opts.max_queue);
   sopts.shed_policy = opts.shed_policy == "degrade"

@@ -73,7 +73,6 @@ struct Options {
   double taper = 0.0;  ///< 0 = no fabric
   int reps = 15;
   int jobs = 0;        ///< worker threads; 0 = hardware concurrency
-  int batch = 0;       ///< repetition lane width; 0 = auto, 1 = serial
   std::uint64_t seed = 1;
   bool csv = false;
   std::string metrics_file;  ///< report/serve: also write the JSON metrics

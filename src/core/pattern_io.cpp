@@ -4,29 +4,18 @@
 #include <sstream>
 #include <stdexcept>
 
+#include "core/fnv1a.hpp"
+
 namespace hetcomm::core {
 
 namespace {
 
 constexpr const char* kHeader = "hetcomm-pattern v1";
 
-constexpr std::uint64_t kFnvOffset = 0xcbf29ce484222325ULL;
-constexpr std::uint64_t kFnvPrime = 0x100000001b3ULL;
-
-/// Fold one 64-bit word into the FNV-1a state byte by byte (little-endian
-/// byte order, so the hash is identical on every platform).
-constexpr std::uint64_t fnv1a_word(std::uint64_t h, std::uint64_t word) {
-  for (int b = 0; b < 8; ++b) {
-    h ^= (word >> (8 * b)) & 0xffULL;
-    h *= kFnvPrime;
-  }
-  return h;
-}
-
 }  // namespace
 
 std::uint64_t pattern_hash(const CommPattern& pattern) {
-  std::uint64_t h = kFnvOffset;
+  std::uint64_t h = kFnv1aOffset;
   h = fnv1a_word(h, static_cast<std::uint64_t>(pattern.num_gpus()));
   for (int src = 0; src < pattern.num_gpus(); ++src) {
     for (const GpuMessage& m : pattern.sends_from(src)) {

@@ -18,6 +18,7 @@
 #include "core/compiled_plan.hpp"
 #include "core/comm_pattern.hpp"
 #include "core/executor.hpp"
+#include "core/fnv1a.hpp"
 #include "core/pattern_io.hpp"
 #include "core/plan.hpp"
 #include "core/strategy.hpp"
@@ -30,7 +31,6 @@
 #include "obs/run_report.hpp"
 #include "obs/trace.hpp"
 #include "runtime/plan_cache.hpp"
-#include "runtime/sweep.hpp"
 #include "runtime/thread_pool.hpp"
 
 #ifdef __unix__
@@ -127,18 +127,6 @@ const char* abort_reason_name(FaultAbort::Reason reason) noexcept {
       return "nic_unavailable";
   }
   return "unknown";
-}
-
-constexpr std::uint64_t kFnvOffset = 0xcbf29ce484222325ULL;
-constexpr std::uint64_t kFnvPrime = 0x100000001b3ULL;
-
-std::uint64_t fnv1a_bytes(std::string_view text,
-                          std::uint64_t h = kFnvOffset) noexcept {
-  for (const char c : text) {
-    h ^= static_cast<unsigned char>(c);
-    h *= kFnvPrime;
-  }
-  return h;
 }
 
 std::string hash_hex(std::uint64_t h) {
@@ -245,12 +233,15 @@ struct Request {
   // per-request measured reduction
   double max_avg = 0.0;
   obs::Summary makespan;
-  int batch = 1;
+  std::vector<double> rep_clocks;  ///< reps x num_ranks, repetition-keyed
 
   // -- timing ------------------------------------------------------------
   Clock::time_point enqueued;
   double queue_wait_seconds = 0.0;
-  double execute_seconds = 0.0;  ///< its group's total block wall time
+  double execute_seconds = 0.0;  ///< summed wall time of its repetitions
+  // Tracer-epoch wall interval covering its repetitions (tracing only).
+  double execute_t0 = 0.0;
+  double execute_t1 = 0.0;
 
   // -- tracing (0 = this request is not sampled) -------------------------
   std::uint64_t trace_id = 0;
@@ -263,41 +254,23 @@ struct TimedLine {
   Admission admission = Admission::Normal;
 };
 
-/// One (plan, machine, faults) coalescing group: lanes from every member
-/// request concatenated in input order.
-struct Group {
-  std::shared_ptr<const CachedPlan> plan;
-  std::shared_ptr<const FaultModel> faults;
-  const MachineEntry* machine = nullptr;
-  std::uint64_t engine_key = 0;
-  int num_ranks = 0;
-  std::vector<std::size_t> requests;   ///< window indices, input order
-  std::vector<std::int64_t> lane_base; ///< first lane of each member
-  std::vector<std::uint64_t> lane_seeds;
-  std::vector<double> clocks;          ///< lanes x num_ranks
-  double execute_seconds = 0.0;        ///< summed block wall time
-  // Tracer-epoch wall interval covering the group's blocks (tracing only).
-  double trace_t0 = 0.0;
-  double trace_t1 = 0.0;
-};
+/// True for a data request that still needs engine repetitions.
+bool needs_execution(const Request& req) {
+  return !req.control && req.error.empty() && req.reps > 0 && !req.degraded;
+}
 
-/// One Engine::execute_batch call: lanes [start, start+width) of a group.
-/// `request` is the owning window index for fault-attributable blocks, or
-/// SIZE_MAX when the block spans requests (only possible unfaulted, where
-/// FaultAbort cannot occur).
-struct Block {
-  std::size_t group = 0;
-  std::int64_t start = 0;
-  int width = 0;
-  std::size_t request = SIZE_MAX;
+/// One execute task: repetition `rep` of window request `request`.
+struct RepTask {
+  std::size_t request = 0;
+  int rep = 0;
   double seconds = 0.0;
   std::string error;
   ErrorCode code = ErrorCode::None;
   std::shared_ptr<FaultDetail> fault;
-  /// Skipped by the deadline CancelFn: every owning request had expired
-  /// when this block came up for execution.
+  /// Skipped by the deadline CancelFn: its request had expired when the
+  /// task came up for execution.
   bool cancelled = false;
-  // Tracing only: tracer-epoch wall interval and the block span's id.
+  // Tracing only: tracer-epoch wall interval and the task span's id.
   double trace_t0 = 0.0;
   double trace_t1 = 0.0;
   std::uint32_t trace_span = 0;
@@ -315,9 +288,6 @@ struct Service::Impl {
         engines(static_cast<std::size_t>(pool.num_threads())) {
     if (options.window < 1) {
       throw std::invalid_argument("serve: window must be >= 1");
-    }
-    if (options.batch < 0) {
-      throw std::invalid_argument("serve: batch must be >= 0 (0 = auto)");
     }
     if (options.trace) {
       obs::Tracer::Options topts;
@@ -352,11 +322,8 @@ struct Service::Impl {
       tn.k_nodes = tracer->intern("nodes");
       tn.k_error = tracer->intern("error");
       tn.k_requests = tracer->intern("requests");
-      tn.k_groups = tracer->intern("groups");
-      tn.k_blocks = tracer->intern("blocks");
-      tn.k_lanes = tracer->intern("lanes");
-      tn.k_group = tracer->intern("group");
-      tn.k_first_lane = tracer->intern("first_lane");
+      tn.k_request = tracer->intern("request");
+      tn.k_rep = tracer->intern("rep");
       tn.k_src = tracer->intern("src");
       tn.k_dst = tracer->intern("dst");
       tn.k_bytes = tracer->intern("bytes");
@@ -395,8 +362,8 @@ struct Service::Impl {
                   render = 0, block = 0, engine_msg = 0, engine_copy = 0;
     std::uint16_t k_pattern = 0, k_machine = 0, k_strategy = 0, k_cache = 0,
                   k_hit = 0, k_miss = 0, k_reps = 0, k_nodes = 0, k_error = 0,
-                  k_requests = 0, k_groups = 0, k_blocks = 0, k_lanes = 0,
-                  k_group = 0, k_first_lane = 0, k_src = 0, k_dst = 0,
+                  k_requests = 0, k_request = 0, k_rep = 0, k_src = 0,
+                  k_dst = 0,
                   k_bytes = 0, k_path = 0, k_rank = 0, k_gpu = 0, k_dir = 0;
   } tn;
 
@@ -421,10 +388,8 @@ struct Service::Impl {
   std::int64_t compiles = 0;
   std::int64_t windows = 0;
   std::int64_t window_max = 0;
-  std::int64_t groups_total = 0;
-  std::int64_t blocks_total = 0;
-  std::int64_t lanes_total = 0;
-  std::int64_t max_group_lanes = 0;
+  std::int64_t blocks_total = 0;  ///< execute tasks run (not cancelled)
+  std::int64_t lanes_total = 0;   ///< measured repetitions dispatched
   double compile_seconds_total = 0.0;
   double execute_seconds_total = 0.0;
   double busy_seconds = 0.0;
@@ -432,7 +397,7 @@ struct Service::Impl {
   std::vector<double> latency_samples;
   std::vector<double> queue_samples;
   std::vector<double> compile_samples;
-  std::vector<double> block_samples;
+  std::vector<double> execute_samples;  ///< per executed request
 
   void add_sample(std::vector<double>& v, double s) {
     if (v.size() < kMaxSamples) v.push_back(s);
@@ -462,7 +427,8 @@ struct Service::Impl {
     MachineEntry entry;
     entry.model = machine::resolve_machine(arg);
     entry.fingerprint =
-        fnv1a_bytes(machine::to_json(entry.model).dump_string(0));
+        core::fnv1a_bytes(core::kFnv1aOffset,
+                          machine::to_json(entry.model).dump_string(0));
     return machines.emplace(arg, std::move(entry)).first->second;
   }
 
@@ -472,18 +438,6 @@ struct Service::Impl {
     return topos
         .emplace(req.engine_key, req.machine->model.topology(req.nodes))
         .first->second;
-  }
-
-  /// Effective execute_batch lane width for a machine size.  Mirrors
-  /// core::measure's auto policy (minus its reps/jobs occupancy cap, which
-  /// does not apply when lanes from many requests coalesce).
-  [[nodiscard]] int lane_width(int num_ranks) const {
-    int width = options.batch;
-    if (width == 0) {
-      width = 16;
-      while (width > 1 && num_ranks * width > 8192) width /= 2;
-    }
-    return std::max(1, width);
   }
 
   // ---------------------------------------------------------------------
@@ -625,7 +579,7 @@ struct Service::Impl {
         it = faults.emplace(key, std::move(model)).first;
       }
       req.faults = it->second;
-      req.faults_fp = fnv1a_bytes(key);
+      req.faults_fp = core::fnv1a_bytes(core::kFnv1aOffset, key);
     }
 
     // Model ranking: same Advisor call the `advise` subcommand makes, so a
@@ -643,7 +597,7 @@ struct Service::Impl {
 
     req.plan_key = mix_seed(
         mix_seed(req.pattern_fp, req.engine_key),
-        fnv1a_bytes(req.strategy.name()));
+        core::fnv1a_bytes(core::kFnv1aOffset, req.strategy.name()));
 
     if (req.degraded) {
       // The degraded answer is the model ranking; its confidence is the
@@ -789,7 +743,7 @@ struct Service::Impl {
   }
 
   // ---------------------------------------------------------------------
-  // Phases B+C: compile unique plans, then execute coalesced lane groups.
+  // Phases B+C: compile unique plans, then execute every repetition.
   // ---------------------------------------------------------------------
 
   void execute_window(std::vector<Request>& reqs, std::uint64_t wtrace,
@@ -801,12 +755,8 @@ struct Service::Impl {
     {
       std::unordered_map<std::uint64_t, std::size_t> first;
       for (std::size_t i = 0; i < reqs.size(); ++i) {
-        Request& req = reqs[i];
-        if (req.control || !req.error.empty() || req.reps == 0 ||
-            req.degraded) {
-          continue;
-        }
-        if (first.emplace(req.plan_key, i).second) unique.push_back(i);
+        if (!needs_execution(reqs[i])) continue;
+        if (first.emplace(reqs[i].plan_key, i).second) unique.push_back(i);
       }
     }
 
@@ -854,10 +804,7 @@ struct Service::Impl {
       for (const std::size_t i : unique) rep.emplace(reqs[i].plan_key, i);
       for (std::size_t i = 0; i < reqs.size(); ++i) {
         Request& req = reqs[i];
-        if (req.control || !req.error.empty() || req.reps == 0 ||
-            req.degraded) {
-          continue;
-        }
+        if (!needs_execution(req)) continue;
         const std::size_t r = rep.at(req.plan_key);
         if (r == i) continue;
         if (!reqs[r].error.empty()) {
@@ -870,150 +817,83 @@ struct Service::Impl {
       }
     }
 
-    // Group measured requests by (plan, faults); lanes concatenate in
-    // input order, each request contributing reps lanes seeded
-    // mix_seed(req.seed, rep) -- the exact per-repetition seeds
-    // core::measure derives, which is what keeps coalesced replies
-    // bit-identical to one-shot measurement.
-    std::vector<Group> groups;
-    std::unordered_map<std::uint64_t, std::size_t> group_of;
+    // One execute task per measured repetition, requests in input order and
+    // repetitions ascending.  Task (request, rep) runs
+    // reset(mix_seed(seed, rep)); execute(compiled) on the claiming
+    // worker's reused engine -- core::measure's per-repetition body over
+    // the request's shared cached CompiledPlan -- which is what keeps
+    // replies bit-identical to one-shot measurement at any jobs / window.
+    std::vector<RepTask> tasks;
     for (std::size_t i = 0; i < reqs.size(); ++i) {
       Request& req = reqs[i];
-      if (req.control || !req.error.empty() || req.reps == 0 ||
-          req.degraded) {
-        continue;
-      }
-      const std::uint64_t gkey = mix_seed(req.plan_key, req.faults_fp);
-      auto [it, inserted] = group_of.emplace(gkey, groups.size());
-      if (inserted) {
-        Group g;
-        g.plan = req.plan;
-        g.faults = req.faults;
-        g.machine = req.machine;
-        g.engine_key = req.engine_key;
-        g.num_ranks = topos.at(req.engine_key).num_ranks();
-        groups.push_back(std::move(g));
-      }
-      Group& g = groups[it->second];
-      g.lane_base.push_back(static_cast<std::int64_t>(g.lane_seeds.size()));
-      g.requests.push_back(i);
+      if (!needs_execution(req)) continue;
+      req.rep_clocks.assign(static_cast<std::size_t>(req.reps) *
+                                static_cast<std::size_t>(
+                                    topos.at(req.engine_key).num_ranks()),
+                            0.0);
       for (int rep = 0; rep < req.reps; ++rep) {
-        g.lane_seeds.push_back(
-            mix_seed(req.seed, static_cast<std::uint64_t>(rep)));
+        RepTask task;
+        task.request = i;
+        task.rep = rep;
+        tasks.push_back(std::move(task));
       }
     }
 
-    // Carve each group into execute_batch blocks.  Unfaulted groups
-    // coalesce lanes across requests (an unfaulted lane cannot abort, so
-    // no error ever needs attributing across a block); faulted groups keep
-    // blocks within one request so a FaultAbort maps to exactly one reply.
-    std::vector<Block> blocks;
-    for (std::size_t gi = 0; gi < groups.size(); ++gi) {
-      Group& g = groups[gi];
-      g.clocks.assign(g.lane_seeds.size() *
-                          static_cast<std::size_t>(g.num_ranks),
-                      0.0);
-      const int width = lane_width(g.num_ranks);
-      if (g.faults == nullptr) {
-        for (const runtime::LaneBlock& b : runtime::lane_blocks(
-                 static_cast<std::int64_t>(g.lane_seeds.size()), width)) {
-          Block blk;
-          blk.group = gi;
-          blk.start = b.start;
-          blk.width = b.width;
-          blocks.push_back(std::move(blk));
-        }
-      } else {
-        for (std::size_t m = 0; m < g.requests.size(); ++m) {
-          const Request& req = reqs[g.requests[m]];
-          for (const runtime::LaneBlock& b :
-               runtime::lane_blocks(req.reps, std::min(width, req.reps))) {
-            Block blk;
-            blk.group = gi;
-            blk.start = g.lane_base[m] + b.start;
-            blk.width = b.width;
-            blk.request = g.requests[m];
-            blocks.push_back(std::move(blk));
-          }
-        }
-      }
-    }
-
-    // Engine-event merge: lane 0 of the window's first block records the
+    // Engine-event merge: the window's first repetition records the
     // engine's message/copy events, converted below onto engine-rank
-    // tracks of the window trace.  One lane per window bounds the cost;
-    // set_tracing never perturbs clocks, so replies stay bit-identical.
+    // tracks of the window trace.  One repetition per window bounds the
+    // cost; set_tracing never perturbs clocks, so replies stay
+    // bit-identical.
     Trace engine_trace;
-    const bool merge_engine = wtrace != 0 && !blocks.empty();
+    const bool merge_engine = wtrace != 0 && !tasks.empty();
 
-    // Deadline cancellation between blocks: a claimed block is skipped when
-    // every request owning its lanes has expired.  Coalesced (unfaulted)
-    // blocks mix lanes from several requests, so they cancel only when ALL
-    // owners expired -- a live request's lanes always run, which is what
-    // keeps its reply bit-identical to an unloaded server's.  The predicate
-    // runs on the claiming worker; each block index is claimed exactly
-    // once, so writing block.cancelled here is race-free.
+    // Deadline cancellation between repetitions: a claimed task is skipped
+    // when its own request has expired, so an expired request never holds
+    // up a live one.  The predicate runs on the claiming worker; each task
+    // index is claimed exactly once, so writing task.cancelled is
+    // race-free.
     runtime::ThreadPool::CancelFn cancel;
-    bool any_deadline = false;
-    for (const Request& req : reqs) {
-      if (req.has_deadline && req.error.empty() && !req.control) {
-        any_deadline = true;
-        break;
-      }
-    }
+    const bool any_deadline =
+        std::any_of(reqs.begin(), reqs.end(), [](const Request& req) {
+          return req.has_deadline && needs_execution(req);
+        });
     if (any_deadline) {
-      cancel = [&](std::int64_t bi) {
-        Block& block = blocks[static_cast<std::size_t>(bi)];
-        const Group& g = groups[block.group];
-        const auto now = Clock::now();
-        const auto expired = [&](const Request& r) {
-          return r.has_deadline && now >= r.deadline;
-        };
-        bool skip = false;
-        if (block.request != SIZE_MAX) {
-          skip = expired(reqs[block.request]);
-        } else {
-          skip = !g.requests.empty();
-          for (const std::size_t r : g.requests) {
-            if (!expired(reqs[r])) {
-              skip = false;
-              break;
-            }
-          }
-        }
-        if (skip) block.cancelled = true;
-        return skip;
+      cancel = [&](std::int64_t t) {
+        RepTask& task = tasks[static_cast<std::size_t>(t)];
+        const Request& req = reqs[task.request];
+        task.cancelled = req.has_deadline && Clock::now() >= req.deadline;
+        return task.cancelled;
       };
     }
 
     pool.parallel_for(
-        static_cast<std::int64_t>(blocks.size()),
-        [&](std::int64_t bi, int worker) {
-          Block& block = blocks[static_cast<std::size_t>(bi)];
-          Group& g = groups[block.group];
+        static_cast<std::int64_t>(tasks.size()),
+        [&](std::int64_t t, int worker) {
+          RepTask& task = tasks[static_cast<std::size_t>(t)];
+          Request& req = reqs[task.request];
           const auto t0 = Clock::now();
-          const double bt0 = tracer != nullptr ? tracer->now() : 0.0;
+          if (tracer != nullptr) task.trace_t0 = tracer->now();
           try {
             std::unique_ptr<Engine>& slot =
-                engines[static_cast<std::size_t>(worker)][g.engine_key];
+                engines[static_cast<std::size_t>(worker)][req.engine_key];
             if (!slot) {
               slot = std::make_unique<Engine>(
-                  topos.at(g.engine_key), g.machine->model.params,
+                  topos.at(req.engine_key), req.machine->model.params,
                   NoiseModel(0, options.noise_sigma));
             }
-            slot->set_faults(g.faults.get());
-            const std::span<const std::uint64_t> seeds(
-                g.lane_seeds.data() + block.start,
-                static_cast<std::size_t>(block.width));
-            const std::span<double> clocks(
-                g.clocks.data() + static_cast<std::size_t>(block.start) *
-                                      static_cast<std::size_t>(g.num_ranks),
-                static_cast<std::size_t>(block.width) *
-                    static_cast<std::size_t>(g.num_ranks));
-            const bool etrace = merge_engine && bi == 0;
-            if (etrace) slot->set_tracing(true);
-            slot->execute_batch(g.plan->compiled, seeds, clocks,
-                                etrace ? 0 : -1);
+            slot->set_faults(req.faults.get());
+            slot->reset(
+                mix_seed(req.seed, static_cast<std::uint64_t>(task.rep)));
+            const bool etrace = merge_engine && t == 0;
+            slot->set_tracing(etrace);
+            const std::size_t num_ranks =
+                static_cast<std::size_t>(slot->topology().num_ranks());
+            core::run_plan(
+                *slot, req.plan->compiled,
+                std::span<double>(req.rep_clocks.data() +
+                                      static_cast<std::size_t>(task.rep) *
+                                          num_ranks,
+                                  num_ranks));
             if (etrace) {
               engine_trace = slot->trace();
               slot->set_tracing(false);
@@ -1021,10 +901,9 @@ struct Service::Impl {
           } catch (const FaultAbort& e) {
             // Structured abort: the reply carries the fault's coordinates
             // (strategy filled in at attribution -- the engine throws with
-            // it empty).  Faulted groups never coalesce blocks across
-            // requests, so this maps to exactly one reply.
-            block.error = e.what();
-            block.code = ErrorCode::FaultAborted;
+            // it empty).
+            task.error = e.what();
+            task.code = ErrorCode::FaultAborted;
             auto detail = std::make_shared<FaultDetail>();
             detail->reason = abort_reason_name(e.reason);
             detail->src = e.src;
@@ -1032,17 +911,14 @@ struct Service::Impl {
             detail->path_id = e.path_id;
             detail->path = e.path;
             detail->attempts = e.attempts;
-            block.fault = std::move(detail);
+            task.fault = std::move(detail);
           } catch (const std::exception& e) {
-            block.error = e.what();
-            if (block.error.empty()) block.error = "execution failed";
-            block.code = ErrorCode::Internal;
+            task.error = e.what();
+            if (task.error.empty()) task.error = "execution failed";
+            task.code = ErrorCode::Internal;
           }
-          block.seconds = seconds_between(t0, Clock::now());
-          if (tracer != nullptr) {
-            block.trace_t0 = bt0;
-            block.trace_t1 = tracer->now();
-          }
+          task.seconds = seconds_between(t0, Clock::now());
+          if (tracer != nullptr) task.trace_t1 = tracer->now();
           if (wtrace != 0) {
             obs::SpanRecord s;
             s.trace_id = wtrace;
@@ -1050,78 +926,64 @@ struct Service::Impl {
             s.parent = wspan;
             s.name = tn.block;
             s.track = static_cast<std::uint16_t>(worker);
-            s.t_start = block.trace_t0;
-            s.t_end = block.trace_t1;
-            s.add_attr(tn.k_group, static_cast<std::int64_t>(block.group));
-            s.add_attr(tn.k_first_lane, block.start);
-            s.add_attr(tn.k_lanes, block.width);
-            block.trace_span = s.span_id;
+            s.t_start = task.trace_t0;
+            s.t_end = task.trace_t1;
+            s.add_attr(tn.k_request, static_cast<std::int64_t>(task.request));
+            s.add_attr(tn.k_rep, task.rep);
+            task.trace_span = s.span_id;
             tracer->record(worker, s);
           }
         },
         whook, cancel);
 
-    for (const Block& block : blocks) {
-      Group& g = groups[block.group];
-      if (block.cancelled) {
-        // The deadline predicate only skips a block when every owner had
-        // expired, so marking them all deadline_exceeded is exact.  The
-        // ranking (when the request asked for one) rides along as the
+    // Attribute outcomes in task order -- ascending repetition within each
+    // request -- so a request's reply carries the error of its lowest
+    // failing repetition, the one a serial jobs=1 measure() hits first.
+    lanes_total += static_cast<std::int64_t>(tasks.size());
+    for (const RepTask& task : tasks) {
+      Request& req = reqs[task.request];
+      if (task.cancelled) {
+        // The ranking (when the request asked for one) rides along as the
         // partial result -- it was computed at parse time.
         cancelled_blocks += 1;
-        const auto expire = [&](Request& r) {
-          if (!r.error.empty()) return;
-          r.error = "deadline exceeded during execution (lanes cancelled "
-                    "between blocks)";
-          r.code = ErrorCode::DeadlineExceeded;
-          r.partial = !r.ranking.empty();
-        };
-        if (block.request != SIZE_MAX) {
-          expire(reqs[block.request]);
-        } else {
-          for (const std::size_t r : g.requests) expire(reqs[r]);
+        if (req.error.empty()) {
+          req.error = "deadline exceeded during execution (repetitions "
+                      "cancelled)";
+          req.code = ErrorCode::DeadlineExceeded;
+          req.partial = !req.ranking.empty();
         }
         continue;
       }
-      g.execute_seconds += block.seconds;
-      add_sample(block_samples, block.seconds);
+      blocks_total += 1;
+      req.execute_seconds += task.seconds;
       if (tracer != nullptr) {
-        // Group wall interval = union of its blocks' intervals; it backs
-        // each member request's `execute` span.
-        if (g.trace_t1 == 0.0) {
-          g.trace_t0 = block.trace_t0;
-          g.trace_t1 = block.trace_t1;
+        // Request wall interval = union of its repetitions' intervals; it
+        // backs the request's `execute` span.
+        if (req.execute_t1 == 0.0) {
+          req.execute_t0 = task.trace_t0;
+          req.execute_t1 = task.trace_t1;
         } else {
-          g.trace_t0 = std::min(g.trace_t0, block.trace_t0);
-          g.trace_t1 = std::max(g.trace_t1, block.trace_t1);
+          req.execute_t0 = std::min(req.execute_t0, task.trace_t0);
+          req.execute_t1 = std::max(req.execute_t1, task.trace_t1);
         }
       }
-      if (!block.error.empty()) {
-        const auto apply = [&](Request& r) {
-          if (!r.error.empty()) return;
-          r.error = block.error;
-          r.code = block.code;
-          if (block.fault != nullptr) {
-            r.fault = std::make_shared<FaultDetail>(*block.fault);
-            r.fault->strategy = r.strategy.name();
-          }
-        };
-        if (block.request != SIZE_MAX) {
-          apply(reqs[block.request]);
-        } else {
-          for (const std::size_t r : g.requests) apply(reqs[r]);
+      if (!task.error.empty() && req.error.empty()) {
+        req.error = task.error;
+        req.code = task.code;
+        if (task.fault != nullptr) {
+          req.fault = task.fault;
+          req.fault->strategy = req.strategy.name();
         }
       }
     }
-    blocks_total += static_cast<std::int64_t>(blocks.size());
 
     // Convert the captured engine events onto engine-rank tracks, nested
-    // inside the first block's span and scaled proportionally from
-    // simulated time into that block's wall interval (the engine reports
-    // simulated clocks; the timeline shows their *shares* of the block).
-    if (merge_engine && blocks[0].trace_span != 0 &&
+    // inside the first repetition's span and scaled proportionally from
+    // simulated time into that span's wall interval (the engine reports
+    // simulated clocks; the timeline shows their *shares* of the span).
+    if (merge_engine && tasks[0].trace_span != 0 &&
         (!engine_trace.messages.empty() || !engine_trace.copies.empty())) {
-      const Block& b0 = blocks[0];
+      const RepTask& b0 = tasks[0];
       double sim_total = 0.0;
       for (const MessageTrace& m : engine_trace.messages) {
         sim_total = std::max(sim_total, m.completion);
@@ -1183,61 +1045,43 @@ struct Service::Impl {
     // Serial per-request reduction in repetition order: the same fold
     // core::measure runs, so max_avg / makespan stats are bit-identical to
     // a one-shot measurement of the same (plan, reps, seed).
-    for (Group& g : groups) {
-      groups_total += 1;
-      lanes_total += static_cast<std::int64_t>(g.lane_seeds.size());
-      max_group_lanes = std::max(
-          max_group_lanes, static_cast<std::int64_t>(g.lane_seeds.size()));
-      const std::size_t num_ranks = static_cast<std::size_t>(g.num_ranks);
-      std::vector<double> per_rank_mean(num_ranks);
-      std::vector<double> makespans;
-      for (std::size_t m = 0; m < g.requests.size(); ++m) {
-        Request& req = reqs[g.requests[m]];
-        if (!req.error.empty()) continue;
-        per_rank_mean.assign(num_ranks, 0.0);
-        makespans.clear();
-        makespans.reserve(static_cast<std::size_t>(req.reps));
-        for (int rep = 0; rep < req.reps; ++rep) {
-          const double* clocks =
-              g.clocks.data() +
-              (static_cast<std::size_t>(g.lane_base[m]) +
-               static_cast<std::size_t>(rep)) *
-                  num_ranks;
-          double makespan = 0.0;
-          for (std::size_t r = 0; r < num_ranks; ++r) {
-            per_rank_mean[r] += clocks[r];
-            makespan = std::max(makespan, clocks[r]);
-          }
-          makespans.push_back(makespan);
-        }
-        const double inv = 1.0 / req.reps;
-        for (double& t : per_rank_mean) t *= inv;
-        req.max_avg =
-            *std::max_element(per_rank_mean.begin(), per_rank_mean.end());
-        req.makespan = obs::summarize(makespans);
-        req.batch = std::min(lane_width(g.num_ranks),
-                             static_cast<int>(g.lane_seeds.size()));
-        req.execute_seconds = 0.0;  // filled below, once per group
+    std::vector<double> per_rank_mean;
+    std::vector<double> makespans;
+    for (Request& req : reqs) {
+      if (req.rep_clocks.empty()) continue;
+      execute_seconds_total += req.execute_seconds;
+      add_sample(execute_samples, req.execute_seconds);
+      if (req.trace_id != 0) {
+        obs::SpanRecord s;
+        s.trace_id = req.trace_id;
+        s.span_id = tracer->new_span_id();
+        s.parent = req.trace_root;
+        s.name = tn.execute;
+        s.t_start = req.execute_t0;
+        s.t_end = req.execute_t1;
+        s.add_attr(tn.k_reps, req.reps);
+        tracer->record(0, s);
       }
-      for (const std::size_t r : g.requests) {
-        reqs[r].execute_seconds = g.execute_seconds;
-        if (reqs[r].trace_id != 0) {
-          // The request's measured lanes ran somewhere inside its group's
-          // wall interval (lanes coalesce, so a per-request cut does not
-          // exist); record the group interval as this request's execute
-          // span.
-          obs::SpanRecord s;
-          s.trace_id = reqs[r].trace_id;
-          s.span_id = tracer->new_span_id();
-          s.parent = reqs[r].trace_root;
-          s.name = tn.execute;
-          s.t_start = g.trace_t0;
-          s.t_end = g.trace_t1;
-          s.add_attr(tn.k_lanes, reqs[r].reps);
-          tracer->record(0, s);
+      if (!req.error.empty()) continue;
+      const std::size_t num_ranks =
+          static_cast<std::size_t>(topos.at(req.engine_key).num_ranks());
+      per_rank_mean.assign(num_ranks, 0.0);
+      makespans.clear();
+      for (int rep = 0; rep < req.reps; ++rep) {
+        const double* clocks =
+            req.rep_clocks.data() + static_cast<std::size_t>(rep) * num_ranks;
+        double makespan = 0.0;
+        for (std::size_t r = 0; r < num_ranks; ++r) {
+          per_rank_mean[r] += clocks[r];
+          makespan = std::max(makespan, clocks[r]);
         }
+        makespans.push_back(makespan);
       }
-      execute_seconds_total += g.execute_seconds;
+      const double inv = 1.0 / req.reps;
+      for (double& t : per_rank_mean) t *= inv;
+      req.max_avg =
+          *std::max_element(per_rank_mean.begin(), per_rank_mean.end());
+      req.makespan = obs::summarize(makespans);
     }
   }
 
@@ -1322,7 +1166,7 @@ struct Service::Impl {
     }
 
     if (req.degraded) {
-      // Model-only answer under load shedding: no engine lanes ran, so
+      // Model-only answer under load shedding: no engine repetition ran, so
       // there is no "measured" section; the ranking above *is* the reply.
       doc.set("degraded", true);
       doc.set("confidence", req.confidence);
@@ -1332,7 +1176,6 @@ struct Service::Impl {
       measured.set("strategy", req.strategy.name());
       measured.set("reps", req.reps);
       measured.set("seed", static_cast<std::int64_t>(req.seed));
-      measured.set("batch", req.batch);
       measured.set("max_avg", req.max_avg);
       measured.set("makespan", req.makespan.to_json());
       doc.set("measured", std::move(measured));
@@ -1405,7 +1248,7 @@ struct Service::Impl {
 
   std::vector<std::string> process(std::vector<TimedLine> lines) {
     const auto window_start = Clock::now();
-    // Window trace (pool queue/run spans, execute blocks, engine events)
+    // Window trace (pool queue/run spans, repetition spans, engine events)
     // and per-request traces draw ids from the same dense sequence, so one
     // --trace-sample period governs both.
     std::uint64_t wtrace = 0;
@@ -1458,7 +1301,7 @@ struct Service::Impl {
 
     const auto exec_start = Clock::now();
     for (Request& req : reqs) {
-      // Deadline checkpoint 1 of 2 (checkpoint 2 is the between-blocks
+      // Deadline checkpoint 1 of 2 (checkpoint 2 is the between-repetitions
       // CancelFn): a request whose budget ran out while queued or parsing
       // never reaches the engine.  Parsing already computed the model
       // ranking, so the reply still carries it as "partial".
@@ -1655,10 +1498,8 @@ struct Service::Impl {
     obs::JsonValue batching = obs::JsonValue::object();
     batching.set("windows", windows);
     batching.set("max_window_requests", window_max);
-    batching.set("groups", groups_total);
     batching.set("blocks", blocks_total);
     batching.set("lanes", lanes_total);
-    batching.set("max_group_lanes", max_group_lanes);
     serve.set("batching", std::move(batching));
 
     obs::JsonValue timing = obs::JsonValue::object();
@@ -1668,7 +1509,7 @@ struct Service::Impl {
     timing.set("compile", std::move(compile));
     obs::JsonValue execute = obs::JsonValue::object();
     execute.set("total_seconds", execute_seconds_total);
-    execute.set("per_block", obs::summarize(block_samples).to_json());
+    execute.set("per_request", obs::summarize(execute_samples).to_json());
     timing.set("execute", std::move(execute));
     timing.set("latency", obs::summarize(latency_samples).to_json());
     timing.set("queue_wait", obs::summarize(queue_samples).to_json());

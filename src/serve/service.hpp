@@ -4,7 +4,7 @@
 // A Service answers newline-delimited JSON requests -- "which strategy for
 // this pattern on this machine, and how fast is it?" -- the way a
 // production placement service would: persistent process, plan reuse, and
-// batched execution instead of one cold simulation per query.
+// windowed execution instead of one cold simulation per query.
 //
 // The performance core, in request order:
 //
@@ -12,13 +12,14 @@
 //      mix_seed over core::pattern_hash, the machine fingerprint, the node
 //      count and the strategy name): a repeated query skips build_plan +
 //      CompiledPlan construction entirely and goes straight to replay.
-//   2. **Request batching**: every request drained in one input window is
-//      grouped by (plan, machine, faults, sigma); a group's repetitions
-//      become *lanes* of Engine::execute_batch calls (lane l of request r
-//      seeded mix_seed(r.seed, l), exactly what core::measure would use),
-//      and groups fan out across the runtime::ThreadPool.  Responses are
-//      bit-identical to one-shot Advisor::rank + core::measure for the
-//      same query at any --jobs / window / batch width.
+//   2. **Request windows**: every request drained in one input window
+//      shares one compile per distinct plan, and the window's measured
+//      repetitions fan out across the runtime::ThreadPool as one task
+//      each -- repetition l of request r runs reset(mix_seed(r.seed, l));
+//      execute(compiled) on a reused per-worker engine, exactly what
+//      core::measure does.  Responses are bit-identical to one-shot
+//      Advisor::rank + core::measure for the same query at any --jobs /
+//      window.
 //   3. **Per-request accounting** reusing src/obs/: cache hits/misses,
 //      queue wait, compile vs execute time and request latency p50/p99,
 //      exported as the hetcomm.metrics.v1 serve artifact
@@ -45,7 +46,7 @@
 // errors (ShedPolicy::Reject) or by answering from the Table-6 model layer
 // alone -- no engine execution -- with `"degraded": true` plus a
 // `"confidence"` score (ShedPolicy::Degrade).  Requests carry an optional
-// `deadline_ms`; past-deadline work is cancelled between execute blocks
+// `deadline_ms`; past-deadline work is cancelled between repetitions
 // (runtime::ThreadPool's CancelFn) and answered `deadline_exceeded`, with
 // the model ranking attached as `"partial"` when it was already computed.
 // Every error reply names a machine-readable `error_code`
@@ -77,13 +78,13 @@ namespace hetcomm::serve {
 enum class ShedPolicy {
   /// Reply {"ok": false, "error_code": "overloaded", "retry_after_ms": N}.
   Reject,
-  /// Answer from the strategy model + plan cache only (no engine lanes):
+  /// Answer from the strategy model + plan cache only (no engine run):
   /// {"ok": true, "degraded": true, "confidence": C, ...ranking...}.
   Degrade,
 };
 
 struct ServiceOptions {
-  /// Worker threads executing request groups (0 = hardware concurrency).
+  /// Worker threads executing repetitions (0 = hardware concurrency).
   int jobs = 0;
   /// Max requests drained into one batch window.  Input beyond the first
   /// line is taken only when already buffered, so an interactive client
@@ -95,9 +96,6 @@ struct ServiceOptions {
   std::size_t cache_capacity = 256;
   /// Pattern registry entries (patterns addressable by {"ref": hash}).
   std::size_t pattern_capacity = 1024;
-  /// Lane width for batched replay: 0 = auto (core::measure's policy),
-  /// 1 = serial replay, N = fixed width.
-  int batch = 0;
   /// Stop run() after this many data requests (0 = unlimited); control
   /// lines do not count.  CI smoke uses this as a safety stop.
   std::int64_t max_requests = 0;
@@ -146,7 +144,7 @@ class Service {
 
   /// Answer a window of request lines; responses come back in input
   /// order.  This is the batching entry point: all measured requests in
-  /// the window share compiles and coalesce into execute_batch lanes.
+  /// the window share compiles and their repetitions share the pool.
   [[nodiscard]] std::vector<std::string> handle_window(
       const std::vector<std::string>& lines);
 

@@ -4,6 +4,8 @@
 
 #include <sstream>
 
+#include "core/fnv1a.hpp"
+
 namespace hetcomm::core {
 namespace {
 
@@ -15,6 +17,26 @@ CommPattern sample() {
   p.add(3, 2, 12345);
   p.set_node_dedup(0, 1, 900);
   return p;
+}
+
+TEST(PatternIo, Fnv1aMatchesReferenceVectors) {
+  // Published 64-bit FNV-1a test vectors.
+  EXPECT_EQ(fnv1a_bytes(kFnv1aOffset, ""), 0xcbf29ce484222325ULL);
+  EXPECT_EQ(fnv1a_bytes(kFnv1aOffset, "a"), 0xaf63dc4c8601ec8cULL);
+  EXPECT_EQ(fnv1a_bytes(kFnv1aOffset, "foobar"), 0x85944171f73967e8ULL);
+  // A word folds in as its eight little-endian bytes.
+  const std::uint64_t word = 0x0123456789abcdefULL;
+  const char le[8] = {'\xef', '\xcd', '\xab', '\x89',
+                      '\x67', '\x45', '\x23', '\x01'};
+  EXPECT_EQ(fnv1a_word(kFnv1aOffset, word),
+            fnv1a_bytes(kFnv1aOffset, std::string_view(le, 8)));
+}
+
+TEST(PatternIo, PatternHashIsPinned) {
+  // Fingerprints key the serve plan cache and are echoed to clients as
+  // {"ref": ...} handles, so their values must never drift.
+  EXPECT_EQ(pattern_hash(sample()), 0x50b5ac1e684223b2ULL);
+  EXPECT_EQ(pattern_hash(CommPattern(3)), 0xc7c2bf3b330983e6ULL);
 }
 
 TEST(PatternIo, RoundTripPreservesEverything) {

@@ -8,7 +8,7 @@
 //   * plan_check validation of split plans (rail bounds, dependency rules);
 //   * engine semantics: rail pinning, dependency waves, validation throws;
 //   * bit-identity of the split variants across {compiled, interpreted} x
-//     batch widths x jobs;
+//     jobs;
 //   * a machine/pattern where a multi-rail variant beats every single-rail
 //     Table-5 strategy, and rail-outage-mid-stripe degradation.
 
@@ -338,7 +338,7 @@ TEST_F(SplitLoweringTest, ExplicitRailOverridesHashAssignment) {
 
 // -- Bit identity ----------------------------------------------------------
 
-TEST_F(SplitLoweringTest, VariantsBitIdenticalAcrossEnginesJobsAndBatch) {
+TEST_F(SplitLoweringTest, VariantsBitIdenticalAcrossEnginesAndJobs) {
   for (const StrategyConfig& cfg : split_variant_strategies()) {
     const CommPlan plan = build_plan(pattern(), topo_, params_, cfg);
     for (const int jobs : {1, 4}) {
@@ -350,19 +350,15 @@ TEST_F(SplitLoweringTest, VariantsBitIdenticalAcrossEnginesJobsAndBatch) {
       opts.jobs = jobs;
       opts.engine = ExecMode::Interpreted;
       const MeasureResult ref = measure(plan, topo_, params_, opts);
-      for (const int batch : {1, 3, 0}) {
-        opts.engine = ExecMode::Compiled;
-        opts.batch = batch;
-        const MeasureResult got = measure(plan, topo_, params_, opts);
-        EXPECT_EQ(ref.max_avg, got.max_avg)
-            << cfg.name() << " jobs=" << jobs << " batch=" << batch;
-        EXPECT_EQ(ref.makespan_mean, got.makespan_mean)
-            << cfg.name() << " jobs=" << jobs << " batch=" << batch;
-        ASSERT_EQ(ref.per_rank_mean.size(), got.per_rank_mean.size());
-        for (std::size_t r = 0; r < ref.per_rank_mean.size(); ++r) {
-          EXPECT_EQ(ref.per_rank_mean[r], got.per_rank_mean[r])
-              << cfg.name() << " rank " << r;
-        }
+      opts.engine = ExecMode::Compiled;
+      const MeasureResult got = measure(plan, topo_, params_, opts);
+      EXPECT_EQ(ref.max_avg, got.max_avg) << cfg.name() << " jobs=" << jobs;
+      EXPECT_EQ(ref.makespan_mean, got.makespan_mean)
+          << cfg.name() << " jobs=" << jobs;
+      ASSERT_EQ(ref.per_rank_mean.size(), got.per_rank_mean.size());
+      for (std::size_t r = 0; r < ref.per_rank_mean.size(); ++r) {
+        EXPECT_EQ(ref.per_rank_mean[r], got.per_rank_mean[r])
+            << cfg.name() << " rank " << r;
       }
     }
   }

@@ -4,6 +4,7 @@
 
 #include <cstdint>
 #include <cstdio>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -14,6 +15,8 @@
 #include "core/pattern_io.hpp"
 #include "core/plan.hpp"
 #include "core/strategy.hpp"
+#include "fault/fault_json.hpp"
+#include "hetsim/faults.hpp"
 #include "machine/machine_json.hpp"
 #include "obs/json.hpp"
 
@@ -72,38 +75,120 @@ TEST(ServeTest, PredictOnlyMatchesAdvisorRank) {
   EXPECT_EQ(doc.at("recommended").as_string(), expect.front().config.name());
 }
 
-TEST(ServeTest, MeasuredIsBitIdenticalToOneShotMeasure) {
+/// One-shot core::measure of `strategy` on the reference pattern (lassen,
+/// 2 nodes) -- the oracle every measured serve reply must match bit for
+/// bit.  A FaultAbort from the run is returned instead of a result.
+struct OneShot {
+  core::MeasureResult result;
+  std::optional<FaultAbort> abort;
+};
+
+OneShot one_shot_measure(const std::string& strategy, int reps,
+                         std::uint64_t seed,
+                         const std::string& faults_path = "") {
   const machine::MachineModel model = machine::resolve_machine("lassen");
   const Topology topo = model.topology(2);
-  const core::CommPattern pattern = reference_pattern();
-  const core::StrategyConfig config = core::parse_strategy("split+MD");
   const core::CommPlan plan =
-      core::build_plan(pattern, topo, model.params, config);
+      core::build_plan(reference_pattern(), topo, model.params,
+                       core::parse_strategy(strategy));
+  std::optional<FaultModel> faults;
+  if (!faults_path.empty()) {
+    faults.emplace(
+        fault::load_fault_file(faults_path).compile(topo, model.params));
+  }
   core::MeasureOptions mopts;
-  mopts.reps = 6;
-  mopts.seed = 99;
-  const core::MeasureResult expect =
-      core::measure(plan, topo, model.params, mopts);
+  mopts.reps = reps;
+  mopts.seed = seed;
+  mopts.faults = faults ? &*faults : nullptr;
+  OneShot out;
+  try {
+    out.result = core::measure(plan, topo, model.params, mopts);
+  } catch (const FaultAbort& abort) {
+    out.abort = abort;
+  }
+  return out;
+}
 
-  const std::string request =
-      R"({"machine": "lassen", "nodes": 2, )" + pattern_body() +
-      R"(, "strategy": "split+MD", "reps": 6, "seed": 99})";
-  // Identical answers at every service geometry: the batching / caching /
-  // jobs knobs must never leak into the numbers.
-  for (const int jobs : {1, 3}) {
-    for (const int batch : {0, 1, 4}) {
+TEST(ServeTest, MeasuredIsBitIdenticalToOneShotMeasure) {
+  const std::string flaky =
+      std::string(HETCOMM_TEST_DATA_DIR) + "/flaky_abort.json";
+  struct Case {
+    std::string strategy;
+    int reps;
+    std::uint64_t seed;
+    std::string faults;
+  };
+  // Each plan is shared by two requests, one standard (staged) request is
+  // faulted, and its repetitions abort at different messages -- so the
+  // reply must carry the lowest aborting repetition's abort, as measure()
+  // does, whichever worker finishes first.
+  const std::vector<Case> cases = {{"split+MD", 6, 99, ""},
+                                   {"standard (staged)", 6, 7, flaky},
+                                   {"split+MD", 5, 7, ""},
+                                   {"standard (staged)", 4, 12, ""}};
+  std::string input;
+  std::vector<OneShot> expect;
+  for (std::size_t i = 0; i < cases.size(); ++i) {
+    const Case& c = cases[i];
+    input += R"({"id": )" + std::to_string(i) +
+             R"(, "machine": "lassen", "nodes": 2, )" + pattern_body() +
+             R"(, "strategy": ")" + c.strategy + R"(", "reps": )" +
+             std::to_string(c.reps) + R"(, "seed": )" +
+             std::to_string(c.seed) +
+             (c.faults.empty() ? "" : R"(, "faults": ")" + c.faults + "\"") +
+             "}\n";
+    expect.push_back(one_shot_measure(c.strategy, c.reps, c.seed, c.faults));
+  }
+  ASSERT_TRUE(expect[1].abort) << "flaky-abort must abort the one-shot run";
+
+  // Identical answers at every service geometry: the jobs / window knobs
+  // must never leak into the numbers.
+  for (const int jobs : {1, 2, 4}) {
+    for (const int window : {1, 64}) {
+      const std::string label =
+          "jobs=" + std::to_string(jobs) + " window=" + std::to_string(window);
       ServiceOptions options;
       options.jobs = jobs;
-      options.batch = batch;
+      options.window = window;
       Service service(options);
-      const JsonValue doc = parse(service.handle_line(request));
-      ASSERT_TRUE(doc.at("ok").as_bool())
-          << "jobs=" << jobs << " batch=" << batch;
-      const JsonValue& measured = doc.at("measured");
-      EXPECT_DOUBLE_EQ(measured.at("max_avg").as_double(), expect.max_avg)
-          << "jobs=" << jobs << " batch=" << batch;
-      EXPECT_EQ(measured.at("strategy").as_string(), "split+MD");
-      EXPECT_EQ(measured.at("reps").as_int(), 6);
+      std::istringstream in(input);
+      std::ostringstream out;
+      service.run(in, out);
+      std::istringstream replies(out.str());
+      std::string line;
+      std::size_t answered = 0;
+      while (std::getline(replies, line)) {
+        const JsonValue doc = parse(line);
+        const std::size_t i = static_cast<std::size_t>(doc.at("id").as_int());
+        ASSERT_LT(i, cases.size()) << label;
+        ++answered;
+        if (expect[i].abort) {
+          ASSERT_FALSE(doc.at("ok").as_bool()) << label << " id " << i;
+          EXPECT_EQ(doc.at("error_code").as_string(), "fault_abort") << label;
+          const JsonValue& fault = doc.at("fault");
+          EXPECT_EQ(fault.at("src").as_int(), expect[i].abort->src) << label;
+          EXPECT_EQ(fault.at("dst").as_int(), expect[i].abort->dst) << label;
+          EXPECT_EQ(fault.at("path").as_string(), expect[i].abort->path)
+              << label;
+          EXPECT_EQ(fault.at("attempts").as_int(), expect[i].abort->attempts)
+              << label;
+          continue;
+        }
+        ASSERT_TRUE(doc.at("ok").as_bool()) << label << " id " << i;
+        const JsonValue& measured = doc.at("measured");
+        const core::MeasureResult& want = expect[i].result;
+        EXPECT_EQ(measured.at("max_avg").as_double(), want.max_avg)
+            << label << " id " << i;
+        EXPECT_EQ(measured.at("makespan").at("min").as_double(),
+                  want.makespan_min)
+            << label << " id " << i;
+        EXPECT_EQ(measured.at("makespan").at("max").as_double(),
+                  want.makespan_max)
+            << label << " id " << i;
+        EXPECT_EQ(measured.at("strategy").as_string(), cases[i].strategy);
+        EXPECT_EQ(measured.at("reps").as_int(), cases[i].reps);
+      }
+      EXPECT_EQ(answered, cases.size()) << label;
     }
   }
 }
@@ -123,7 +208,7 @@ TEST(ServeTest, WindowedDuplicatesShareOneCompile) {
   for (const std::string& line : replies) {
     const JsonValue doc = parse(line);
     ASSERT_TRUE(doc.at("ok").as_bool());
-    // Same query, same answer -- coalesced lanes do not perturb results.
+    // Same query, same answer -- shared repetitions do not perturb results.
     EXPECT_DOUBLE_EQ(doc.at("measured").at("max_avg").as_double(), max_avg);
     if (doc.at("cache").as_string() == "hit") ++hits;
   }
@@ -309,6 +394,31 @@ TEST(ServeTest, DeadlineZeroExpiresWithPartialRanking) {
   const JsonValue& resil = metrics.at("serve").at("resilience");
   EXPECT_EQ(resil.at("deadline_exceeded").as_int(), 1);
   EXPECT_EQ(resil.at("deadline_partials").as_int(), 1);
+
+  // An expired request sharing its plan with live ones in the same window
+  // never disturbs their repetitions -- including a live request whose own
+  // (distant) deadline puts every repetition through the cancellation
+  // check.
+  const std::string body = R"({"machine": "lassen", "nodes": 2, )" +
+                           pattern_body() +
+                           R"(, "strategy": "split+MD", "reps": 5, "seed": 9)";
+  ServiceOptions options;
+  options.jobs = 2;
+  Service windowed(options);
+  const std::vector<std::string> replies = windowed.handle_window(
+      {body + R"(, "deadline_ms": 0})", body + "}",
+       body + R"(, "deadline_ms": 600000})"});
+  ASSERT_EQ(replies.size(), 3u);
+  EXPECT_EQ(parse(replies[0]).at("error_code").as_string(),
+            "deadline_exceeded");
+  const OneShot want = one_shot_measure("split+MD", 5, 9);
+  for (const std::size_t i : {std::size_t{1}, std::size_t{2}}) {
+    const JsonValue good = parse(replies[i]);
+    ASSERT_TRUE(good.at("ok").as_bool()) << "reply " << i;
+    EXPECT_EQ(good.at("measured").at("max_avg").as_double(),
+              want.result.max_avg)
+        << "reply " << i;
+  }
 }
 
 TEST(ServeTest, FaultAbortIsStructuredAndSparesWindowSiblings) {
@@ -346,8 +456,8 @@ TEST(ServeTest, FaultAbortIsStructuredAndSparesWindowSiblings) {
   Service oneshot;
   const JsonValue expect = parse(oneshot.handle_line(sibling));
   ASSERT_TRUE(expect.at("ok").as_bool());
-  EXPECT_DOUBLE_EQ(good.at("measured").at("max_avg").as_double(),
-                   expect.at("measured").at("max_avg").as_double());
+  EXPECT_EQ(good.at("measured").at("max_avg").as_double(),
+            expect.at("measured").at("max_avg").as_double());
 
   const JsonValue metrics = service.metrics_json();
   const JsonValue& serve = metrics.at("serve");

@@ -295,8 +295,8 @@ TEST(ServeTraceTest, TracingNeverPerturbsTheNumbers) {
     const JsonValue db = JsonValue::parse(b[i]);
     ASSERT_TRUE(da.at("ok").as_bool());
     ASSERT_TRUE(db.at("ok").as_bool());
-    // Whole measured blocks (max_avg, makespan summary, batch geometry)
-    // must be bit-identical, not merely close.
+    // Whole measured sections (max_avg, makespan summary) must be
+    // bit-identical, not merely close.
     std::ostringstream ma, mb;
     da.at("measured").dump(ma);
     db.at("measured").dump(mb);

@@ -45,7 +45,7 @@ def describe_stamp(path: str, doc: dict) -> None:
     print(f"  {path}: {stamp.get('git_sha', 'unknown')[:12]}"
           f" @ {stamp.get('utc', '?')}"
           f" on {stamp.get('hostname', '?')}"
-          f" (jobs={stamp.get('jobs', '?')}, batch={stamp.get('batch', '?')})")
+          f" (jobs={stamp.get('jobs', '?')})")
 
 
 def series(doc: dict) -> dict[str, tuple[float, str]]:

@@ -171,24 +171,20 @@ void validate_file(const std::string& file) {
       require_count(file, batching, "windows", "serve.batching");
   const std::int64_t window_max =
       require_count(file, batching, "max_window_requests", "serve.batching");
-  const std::int64_t groups =
-      require_count(file, batching, "groups", "serve.batching");
   const std::int64_t blocks =
       require_count(file, batching, "blocks", "serve.batching");
   const std::int64_t lanes =
       require_count(file, batching, "lanes", "serve.batching");
-  const std::int64_t max_lanes =
-      require_count(file, batching, "max_group_lanes", "serve.batching");
   if (total > 0 && windows < 1) fail(file, "requests served without a window");
   if (window_max > window) {
     fail(file, "serve.batching.max_window_requests exceeds the window size");
   }
-  if (blocks < groups) fail(file, "every group needs at least one block");
-  if (lanes < max_lanes) {
-    fail(file, "serve.batching.max_group_lanes exceeds total lanes");
+  if (blocks > lanes) {
+    fail(file, "serve.batching.blocks (execute tasks run) exceeds lanes "
+               "(repetitions dispatched)");
   }
-  if (measured > 0 && (groups < 1 || lanes < measured)) {
-    fail(file, "measured requests imply >= 1 group and >= 1 lane each");
+  if (measured > 0 && lanes < measured) {
+    fail(file, "measured requests imply >= 1 lane each");
   }
 
   const JsonValue& timing =
@@ -207,8 +203,8 @@ void validate_file(const std::string& file) {
     fail(file, "serve.timing.execute.total_seconds must be >= 0");
   }
   check_summary(file,
-                require(file, execute, "per_block", JsonValue::Kind::Object),
-                "serve.timing.execute.per_block");
+                require(file, execute, "per_request", JsonValue::Kind::Object),
+                "serve.timing.execute.per_request");
   check_summary(file, require(file, timing, "latency", JsonValue::Kind::Object),
                 "serve.timing.latency");
   check_summary(file,
