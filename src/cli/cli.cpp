@@ -128,9 +128,9 @@ std::string usage() {
       "  --window N           for `serve`: max requests per batch window\n"
       "                       (default 64)\n"
       "  --cache-entries N    for `serve`: compiled-plan cache capacity\n"
-      "                       (default 256; 0 disables caching)\n"
-      "  --cache-shards N     for `serve`: plan cache shards (default 8)\n"
-      "  --max-requests N     for `serve`: stop after N data requests\n"
+      "                       (default 256; 0 disables caching) over\n"
+      "                       max(8, worker threads) lock shards\n"
+      "  --max-requests N     for `serve`: stop after N request lines\n"
       "  --max-queue N        for `serve`: pending-queue bound; requests\n"
       "                       beyond it are shed per --shed-policy\n"
       "                       (default 0 = unbounded)\n"
@@ -245,8 +245,6 @@ Options Options::parse(const std::vector<std::string>& args) {
     } else if (flag == "--cache-entries") {
       opts.cache_entries =
           static_cast<std::int64_t>(to_int(value(), "--cache-entries"));
-    } else if (flag == "--cache-shards") {
-      opts.cache_shards = static_cast<int>(to_int(value(), "--cache-shards"));
     } else if (flag == "--max-requests") {
       opts.max_requests =
           static_cast<std::int64_t>(to_int(value(), "--max-requests"));
@@ -288,9 +286,6 @@ Options Options::parse(const std::vector<std::string>& args) {
   if (opts.window < 1) throw std::invalid_argument("--window must be >= 1");
   if (opts.cache_entries < 0) {
     throw std::invalid_argument("--cache-entries must be >= 0");
-  }
-  if (opts.cache_shards < 1) {
-    throw std::invalid_argument("--cache-shards must be >= 1");
   }
   if (opts.max_requests < 0) {
     throw std::invalid_argument("--max-requests must be >= 0");
@@ -859,7 +854,6 @@ int cmd_serve(const Options& opts, std::ostream& os) {
   serve::ServiceOptions sopts;
   sopts.jobs = opts.jobs;
   sopts.window = opts.window;
-  sopts.cache_shards = opts.cache_shards;
   sopts.cache_capacity = static_cast<std::size_t>(opts.cache_entries);
   sopts.max_requests = opts.max_requests;
   sopts.max_queue = static_cast<std::size_t>(opts.max_queue);

@@ -81,7 +81,6 @@ struct Options {
   std::string socket_path;   ///< serve: unix socket ("" = stdin/stdout)
   int window = 64;           ///< serve: max requests per batch window
   std::int64_t cache_entries = 256;  ///< serve: plan cache capacity (0 = off)
-  int cache_shards = 8;      ///< serve: plan cache shards
   std::int64_t max_requests = 0;  ///< serve: stop after N requests (0 = inf)
   std::int64_t max_queue = 0;  ///< serve: pending-queue bound (0 = unbounded)
   std::string shed_policy = "reject";  ///< serve: reject | degrade

@@ -101,6 +101,33 @@ void run_plan(Engine& engine, const CompiledPlan& plan,
   std::copy(clocks.begin(), clocks.end(), clocks_out.begin());
 }
 
+RepetitionFold fold_repetitions(std::span<const double> rep_clocks,
+                                std::size_t num_ranks) {
+  if (num_ranks == 0 || rep_clocks.empty() ||
+      rep_clocks.size() % num_ranks != 0) {
+    throw std::invalid_argument(
+        "fold_repetitions: clocks must be whole repetitions of num_ranks");
+  }
+  const std::size_t reps = rep_clocks.size() / num_ranks;
+  RepetitionFold fold;
+  fold.per_rank_mean.assign(num_ranks, 0.0);
+  fold.makespans.reserve(reps);
+  for (std::size_t rep = 0; rep < reps; ++rep) {
+    const double* clocks = rep_clocks.data() + rep * num_ranks;
+    double makespan = 0.0;
+    for (std::size_t r = 0; r < num_ranks; ++r) {
+      fold.per_rank_mean[r] += clocks[r];
+      makespan = std::max(makespan, clocks[r]);
+    }
+    fold.makespans.push_back(makespan);
+  }
+  const double inv = 1.0 / static_cast<double>(reps);
+  for (double& t : fold.per_rank_mean) t *= inv;
+  fold.max_avg =
+      *std::max_element(fold.per_rank_mean.begin(), fold.per_rank_mean.end());
+  return fold;
+}
+
 MeasureResult measure(const CommPlan& plan, const Topology& topo,
                       const ParamSet& params, const MeasureOptions& options) {
   if (options.reps < 1) {
@@ -112,7 +139,6 @@ MeasureResult measure(const CommPlan& plan, const Topology& topo,
 
   MeasureResult result;
   result.summary = plan.summarize(topo);
-  result.per_rank_mean.assign(static_cast<std::size_t>(topo.num_ranks()), 0.0);
   result.makespan_min = std::numeric_limits<double>::infinity();
   result.makespan_max = 0.0;
 
@@ -381,29 +407,15 @@ MeasureResult measure(const CommPlan& plan, const Topology& topo,
   }
 
   // Serial reduction in repetition order: bit-identical at any jobs count.
-  std::vector<double> makespans;
-  if (options.collect_metrics) {
-    makespans.reserve(static_cast<std::size_t>(options.reps));
-  }
-  for (int rep = 0; rep < options.reps; ++rep) {
-    const double* clocks =
-        rep_clocks.data() + static_cast<std::size_t>(rep) * num_ranks;
-    double makespan = 0.0;
-    for (std::size_t r = 0; r < num_ranks; ++r) {
-      result.per_rank_mean[r] += clocks[r];
-      makespan = std::max(makespan, clocks[r]);
-    }
+  RepetitionFold fold = fold_repetitions(rep_clocks, num_ranks);
+  for (const double makespan : fold.makespans) {
     result.makespan_mean += makespan;
     result.makespan_min = std::min(result.makespan_min, makespan);
     result.makespan_max = std::max(result.makespan_max, makespan);
-    if (options.collect_metrics) makespans.push_back(makespan);
   }
-
-  const double inv = 1.0 / options.reps;
-  result.makespan_mean *= inv;
-  for (double& t : result.per_rank_mean) t *= inv;
-  result.max_avg =
-      *std::max_element(result.per_rank_mean.begin(), result.per_rank_mean.end());
+  result.makespan_mean *= 1.0 / options.reps;
+  result.per_rank_mean = std::move(fold.per_rank_mean);
+  result.max_avg = fold.max_avg;
   result.trace = std::move(last_trace);
 
   if (options.collect_metrics) {
@@ -421,7 +433,7 @@ MeasureResult measure(const CommPlan& plan, const Topology& topo,
     report.noise_sigma = options.noise_sigma;
     report.ranks = topo.num_ranks();
     report.nodes = topo.num_nodes();
-    report.makespan = obs::summarize(makespans);
+    report.makespan = obs::summarize(fold.makespans);
     report.max_avg = result.max_avg;
     report.wall_seconds = result.wall_seconds;
     report.reps_per_second = result.reps_per_second;

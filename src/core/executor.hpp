@@ -127,6 +127,21 @@ std::vector<double> run_plan(Engine& engine, const CommPlan& plan);
 void run_plan(Engine& engine, const CompiledPlan& plan,
               std::span<double> clocks_out);
 
+/// Repetition clocks reduced to the paper's statistic.
+struct RepetitionFold {
+  std::vector<double> per_rank_mean;  ///< each rank's clock, mean over reps
+  double max_avg = 0.0;               ///< max over ranks of per_rank_mean
+  std::vector<double> makespans;      ///< max rank clock, in repetition order
+};
+
+/// Fold a repetition-major reps x `num_ranks` clock buffer serially in
+/// repetition order.  measure() and serve both reduce through this one
+/// function, which is what keeps a serve reply bit-identical to a one-shot
+/// measurement of the same (plan, reps, seed).  `rep_clocks` must hold at
+/// least one repetition.
+[[nodiscard]] RepetitionFold fold_repetitions(
+    std::span<const double> rep_clocks, std::size_t num_ranks);
+
 /// Repeatedly execute `plan` with per-repetition reseeded noise -- on
 /// per-worker reused engines, fanned across `options.jobs` threads -- and
 /// aggregate.  Deterministic: the result depends only on (plan, topo,

@@ -21,7 +21,8 @@ Engine::Engine(Topology topology, ParamSet params, NoiseModel noise)
                static_cast<std::size_t>(std::max(1, params_.injection.nics_per_node))),
       nic_in_(nic_out_.size()),
       dma_h2d_(static_cast<std::size_t>(topo_.num_gpus())),
-      dma_d2h_(static_cast<std::size_t>(topo_.num_gpus())) {
+      dma_d2h_(static_cast<std::size_t>(topo_.num_gpus())),
+      run_seed_(noise.seed()) {
   params_.validate();
   paths_ = PathTable(topo_, params_.taxonomy);
   nic_of_rank_.resize(static_cast<std::size_t>(topo_.num_ranks()));

@@ -189,7 +189,8 @@ class Engine {
   /// draw from a dedicated mix_seed stream keyed by (run seed, model seed,
   /// message id, attempt) -- never from the noise stream and never from
   /// worker identity -- so faulted runs keep the bit-identical-across-jobs
-  /// guarantee.  Exhausted retries and permanent NIC outages raise
+  /// guarantee.  The run seed is the last reset(seed)'s, or the
+  /// constructor's noise seed before any.  Exhausted retries and permanent NIC outages raise
   /// FaultAbort; resolve() then drops all pending operations (same contract
   /// as a matching failure) and the engine is reusable after reset().
   void set_faults(const FaultModel* faults);
@@ -390,7 +391,9 @@ class Engine {
   // mixes the run seed with the model seed so distinct fault seeds decohere
   // even under the same run seed; the message counter advances in schedule
   // order (identical across worker counts and engine modes) and resets with
-  // the engine, keying every loss decision deterministically.
+  // the engine, keying every loss decision deterministically.  The run
+  // seed starts at the constructor's noise seed, so a fresh engine equals
+  // one reset(seed) with that seed.
   const FaultModel* faults_ = nullptr;  ///< caller-owned; may be null
   std::uint64_t run_seed_ = 0x5eedULL;
   std::uint64_t fault_stream_ = 0;

@@ -78,6 +78,8 @@ class NoiseModel {
   }
 
   [[nodiscard]] double sigma() const noexcept { return sigma_; }
+  /// The stream seed (the constructor's, or the last reseed()'s).
+  [[nodiscard]] std::uint64_t seed() const noexcept { return stream_; }
 
   /// Restart as a fresh stream at `seed` (draw counter rewinds to zero).
   void reseed(std::uint64_t seed) {

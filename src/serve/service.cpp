@@ -5,6 +5,7 @@
 #include <cstdio>
 #include <deque>
 #include <istream>
+#include <iterator>
 #include <memory>
 #include <ostream>
 #include <span>
@@ -254,6 +255,30 @@ struct TimedLine {
   Admission admission = Admission::Normal;
 };
 
+/// Lines admitted but not yet answered: the pending queue plus the lines
+/// shed over max_queue, which ride along with the next window.
+struct Intake {
+  std::deque<TimedLine> pending;
+  std::vector<TimedLine> shed;
+
+  [[nodiscard]] bool empty() const { return pending.empty() && shed.empty(); }
+};
+
+bool blank(const std::string& line) {
+  return line.find_first_not_of(" \t\r") == std::string::npos;
+}
+
+/// Lock shards of the compiled-plan cache: 8, or one per pool thread when
+/// there are more (the pattern registry takes half as many).
+int cache_shards(int threads) { return std::max(8, threads); }
+
+/// Patterns addressable by {"ref": hash}.
+constexpr std::size_t kPatternCapacity = 1024;
+/// Spans retained per worker ring before drop-oldest kicks in.
+constexpr std::size_t kTraceRingCapacity = 8192;
+/// Measurement noise: core::measure's default, which the CLI uses too.
+const double kNoiseSigma = core::MeasureOptions{}.noise_sigma;
+
 /// True for a data request that still needs engine repetitions.
 bool needs_execution(const Request& req) {
   return !req.control && req.error.empty() && req.reps > 0 && !req.degraded;
@@ -282,9 +307,8 @@ struct Service::Impl {
   explicit Impl(ServiceOptions opts)
       : options(std::move(opts)),
         pool(options.jobs),
-        plans(options.cache_shards, options.cache_capacity),
-        patterns(std::max(1, options.cache_shards / 2),
-                 options.pattern_capacity),
+        plans(cache_shards(pool.num_threads()), options.cache_capacity),
+        patterns(cache_shards(pool.num_threads()) / 2, kPatternCapacity),
         engines(static_cast<std::size_t>(pool.num_threads())) {
     if (options.window < 1) {
       throw std::invalid_argument("serve: window must be >= 1");
@@ -292,7 +316,7 @@ struct Service::Impl {
     if (options.trace) {
       obs::Tracer::Options topts;
       topts.rings = pool.num_threads();
-      topts.ring_capacity = std::max<std::size_t>(1, options.trace_ring_capacity);
+      topts.ring_capacity = kTraceRingCapacity;
       topts.sample_period = std::max<std::uint64_t>(1, options.trace_sample);
       tracer = std::make_unique<obs::Tracer>(topts);
       for (int w = 0; w < pool.num_threads(); ++w) {
@@ -879,7 +903,7 @@ struct Service::Impl {
             if (!slot) {
               slot = std::make_unique<Engine>(
                   topos.at(req.engine_key), req.machine->model.params,
-                  NoiseModel(0, options.noise_sigma));
+                  NoiseModel(0, kNoiseSigma));
             }
             slot->set_faults(req.faults.get());
             slot->reset(
@@ -1042,11 +1066,9 @@ struct Service::Impl {
       }
     }
 
-    // Serial per-request reduction in repetition order: the same fold
-    // core::measure runs, so max_avg / makespan stats are bit-identical to
-    // a one-shot measurement of the same (plan, reps, seed).
-    std::vector<double> per_rank_mean;
-    std::vector<double> makespans;
+    // Per-request reduction through core::measure's own fold, so max_avg /
+    // makespan stats are bit-identical to a one-shot measurement of the same
+    // (plan, reps, seed).
     for (Request& req : reqs) {
       if (req.rep_clocks.empty()) continue;
       execute_seconds_total += req.execute_seconds;
@@ -1063,25 +1085,11 @@ struct Service::Impl {
         tracer->record(0, s);
       }
       if (!req.error.empty()) continue;
-      const std::size_t num_ranks =
-          static_cast<std::size_t>(topos.at(req.engine_key).num_ranks());
-      per_rank_mean.assign(num_ranks, 0.0);
-      makespans.clear();
-      for (int rep = 0; rep < req.reps; ++rep) {
-        const double* clocks =
-            req.rep_clocks.data() + static_cast<std::size_t>(rep) * num_ranks;
-        double makespan = 0.0;
-        for (std::size_t r = 0; r < num_ranks; ++r) {
-          per_rank_mean[r] += clocks[r];
-          makespan = std::max(makespan, clocks[r]);
-        }
-        makespans.push_back(makespan);
-      }
-      const double inv = 1.0 / req.reps;
-      for (double& t : per_rank_mean) t *= inv;
-      req.max_avg =
-          *std::max_element(per_rank_mean.begin(), per_rank_mean.end());
-      req.makespan = obs::summarize(makespans);
+      const core::RepetitionFold fold = core::fold_repetitions(
+          req.rep_clocks,
+          req.rep_clocks.size() / static_cast<std::size_t>(req.reps));
+      req.max_avg = fold.max_avg;
+      req.makespan = obs::summarize(fold.makespans);
     }
   }
 
@@ -1444,6 +1452,84 @@ struct Service::Impl {
     return out;
   }
 
+  // ---------------------------------------------------------------------
+  // Admission, windowing and the shutdown drain: the one path behind
+  // handle_window, run and run_socket.
+  // ---------------------------------------------------------------------
+
+  /// Stamp an arriving line.  Past max_queue pending lines it is shed: it
+  /// never waits in the queue, but is answered in the same flush as the
+  /// window it overflowed, so a reply may precede the reply of an earlier
+  /// admitted line (clients correlate by id; docs/serve.md "Resilience").
+  void admit(Intake& intake, std::string text, Clock::time_point now) {
+    TimedLine tl{std::move(text), now};
+    if (options.max_queue > 0 && intake.pending.size() >= options.max_queue) {
+      tl.admission = Admission::ShedOverload;
+      intake.shed.push_back(std::move(tl));
+    } else {
+      intake.pending.push_back(std::move(tl));
+    }
+  }
+
+  /// The next window: up to `limit` queued lines plus every shed line.
+  /// After a shutdown request it is the bounded drain instead -- everything
+  /// left, stamped ShedShutdown, so no request goes unanswered.
+  std::vector<TimedLine> next_window(Intake& intake, std::size_t limit) {
+    if (!shutdown) note_queue_depth(intake.pending.size());
+    const auto take = static_cast<std::ptrdiff_t>(
+        shutdown ? intake.pending.size()
+                 : std::min(limit, intake.pending.size()));
+    std::vector<TimedLine> window;
+    window.reserve(static_cast<std::size_t>(take) + intake.shed.size());
+    window.insert(window.end(),
+                  std::make_move_iterator(intake.pending.begin()),
+                  std::make_move_iterator(intake.pending.begin() + take));
+    intake.pending.erase(intake.pending.begin(),
+                         intake.pending.begin() + take);
+    window.insert(window.end(), std::make_move_iterator(intake.shed.begin()),
+                  std::make_move_iterator(intake.shed.end()));
+    intake.shed.clear();
+    if (shutdown) {
+      for (TimedLine& tl : window) tl.admission = Admission::ShedShutdown;
+    }
+    return window;
+  }
+
+  /// The serve loop both transports share.  `read(lines, block)` appends
+  /// the input lines at hand, waiting for more only when `block`, and
+  /// returns false once the input has ended; `write(replies)` sends one
+  /// window's replies and returns false once the peer is gone.  Returns at
+  /// end of input, once `served` reaches max_requests, or after a shutdown
+  /// request has drained every line already read.
+  template <typename Read, typename Write>
+  void serve_stream(Read&& read, Write&& write, std::int64_t& served) {
+    Intake intake;
+    std::vector<std::string> lines;
+    const auto pull = [&](bool block) {
+      lines.clear();
+      const bool open = read(lines, block);
+      for (std::string& line : lines) {
+        if (!blank(line)) admit(intake, std::move(line), Clock::now());
+      }
+      return open;
+    };
+    while (!shutdown &&
+           (options.max_requests == 0 || served < options.max_requests)) {
+      // Block only when nothing is queued: a client that bursts more than
+      // one window of lines and then waits for its replies must not
+      // deadlock on the server also waiting.
+      if (!pull(intake.empty())) return;
+      if (intake.empty()) continue;
+      std::vector<TimedLine> window =
+          next_window(intake, static_cast<std::size_t>(options.window));
+      served += static_cast<std::int64_t>(window.size());
+      if (!write(process(std::move(window)))) return;
+    }
+    if (!shutdown) return;
+    pull(false);
+    if (!intake.empty()) write(process(next_window(intake, 0)));
+  }
+
   [[nodiscard]] obs::JsonValue metrics() const {
     obs::JsonValue serve = obs::JsonValue::object();
     serve.set("jobs", pool.num_threads());
@@ -1561,27 +1647,13 @@ std::string Service::handle_line(const std::string& line) {
 
 std::vector<std::string> Service::handle_window(
     const std::vector<std::string>& lines) {
-  std::vector<TimedLine> timed;
-  timed.reserve(lines.size());
-  const auto now = Clock::now();
   // Synchronous callers get the same admission contract as run(): lines
   // beyond max_queue are shed (per shed_policy), and after a shutdown
   // request only control lines still answer normally.
-  const std::size_t limit = impl_->options.max_queue;
-  std::size_t admitted = 0;
-  for (const std::string& line : lines) {
-    Admission a = Admission::Normal;
-    if (impl_->shutdown) {
-      a = Admission::ShedShutdown;
-    } else if (limit > 0 && admitted >= limit) {
-      a = Admission::ShedOverload;
-    } else {
-      ++admitted;
-    }
-    timed.push_back({line, now, a});
-  }
-  impl_->note_queue_depth(admitted);
-  return impl_->process(std::move(timed));
+  Intake intake;
+  const auto now = Clock::now();
+  for (const std::string& line : lines) impl_->admit(intake, line, now);
+  return impl_->process(impl_->next_window(intake, lines.size()));
 }
 
 bool Service::shutdown_requested() const noexcept { return impl_->shutdown; }
@@ -1600,90 +1672,27 @@ obs::JsonValue Service::trace_json() const {
   return impl_->tracer->to_json();
 }
 
-namespace {
-
-bool blank(const std::string& line) {
-  return line.find_first_not_of(" \t\r") == std::string::npos;
-}
-
-}  // namespace
-
 void Service::run(std::istream& in, std::ostream& out) {
-  std::int64_t served = 0;
-  // Admission control lives at this boundary: lines past `max_queue` are
-  // stamped ShedOverload and answered in the same flush as the window they
-  // overflowed (they never wait in the queue -- that is the point), so a
-  // reply may precede the reply of an earlier admitted line.  Clients
-  // correlate by id (docs/serve.md "Resilience").
-  std::deque<TimedLine> pending;
-  std::vector<TimedLine> shed;
-  const std::size_t limit = impl_->options.max_queue;
-  const auto admit = [&](std::string text) {
-    if (blank(text)) return;
-    TimedLine tl{std::move(text), Clock::now()};
-    if (limit > 0 && pending.size() >= limit) {
-      tl.admission = Admission::ShedOverload;
-      shed.push_back(std::move(tl));
-    } else {
-      pending.push_back(std::move(tl));
-    }
-  };
   std::string line;
-  while (!impl_->shutdown &&
-         (impl_->options.max_requests == 0 ||
-          served < impl_->options.max_requests)) {
-    if (pending.empty() && shed.empty()) {
-      if (!std::getline(in, line)) break;
-      admit(std::move(line));
+  const auto read = [&](std::vector<std::string>& lines, bool block) {
+    if (block) {
+      if (!std::getline(in, line)) return false;
+      lines.push_back(std::move(line));
     }
-    // Drain whatever is already buffered (never blocking on more input):
-    // a bursty producer forms a batch, an interactive one stays per-line.
+    // Take whatever is already buffered, never blocking on more input: a
+    // bursty producer forms a batch, an interactive one stays per-line.
     while (in.rdbuf()->in_avail() > 0 && std::getline(in, line)) {
-      admit(std::move(line));
+      lines.push_back(std::move(line));
     }
-    impl_->note_queue_depth(pending.size());
-    std::vector<TimedLine> window;
-    window.reserve(std::min<std::size_t>(
-        pending.size() + shed.size(),
-        static_cast<std::size_t>(impl_->options.window) + shed.size()));
-    while (static_cast<int>(window.size()) < impl_->options.window &&
-           !pending.empty()) {
-      window.push_back(std::move(pending.front()));
-      pending.pop_front();
-    }
-    for (TimedLine& tl : shed) window.push_back(std::move(tl));
-    shed.clear();
-    if (window.empty()) continue;
-    served += static_cast<std::int64_t>(window.size());
-    for (const std::string& response : impl_->process(std::move(window))) {
-      out << response << "\n";
-    }
+    return true;
+  };
+  const auto write = [&](const std::vector<std::string>& replies) {
+    for (const std::string& reply : replies) out << reply << "\n";
     out.flush();
-  }
-  // Bounded shutdown drain: everything still queued or readable without
-  // blocking gets a structured `shutting_down` reply -- no request ends
-  // the session unanswered (the chaos harness asserts exactly this).
-  if (impl_->shutdown) {
-    while (in.rdbuf()->in_avail() > 0 && std::getline(in, line)) {
-      if (!blank(line)) pending.push_back({std::move(line), Clock::now()});
-    }
-    for (TimedLine& tl : shed) pending.push_back(std::move(tl));
-    shed.clear();
-    if (!pending.empty()) {
-      std::vector<TimedLine> leftovers;
-      leftovers.reserve(pending.size());
-      for (TimedLine& tl : pending) {
-        tl.admission = Admission::ShedShutdown;
-        leftovers.push_back(std::move(tl));
-      }
-      pending.clear();
-      for (const std::string& response :
-           impl_->process(std::move(leftovers))) {
-        out << response << "\n";
-      }
-      out.flush();
-    }
-  }
+    return true;
+  };
+  std::int64_t served = 0;
+  impl_->serve_stream(read, write, served);
 }
 
 #ifdef __unix__
@@ -1714,24 +1723,46 @@ void Service::run_socket(const std::string& path) {
     const int fd = ::accept(listener, nullptr, nullptr);
     if (fd < 0) break;
     std::string buffer;
-    char chunk[4096];
-    std::deque<TimedLine> pending;
-    std::vector<TimedLine> shed;
-    const std::size_t limit = impl_->options.max_queue;
     // After an oversized partial line is answered, the remainder of that
     // line (bytes up to the next newline) is discarded, not re-parsed.
     bool skipping_oversize = false;
-    const auto admit = [&](std::string text) {
-      if (blank(text)) return;
-      TimedLine tl{std::move(text), Clock::now()};
-      if (limit > 0 && pending.size() >= limit) {
-        tl.admission = Admission::ShedOverload;
-        shed.push_back(std::move(tl));
-      } else {
-        pending.push_back(std::move(tl));
+    const std::size_t max_line = impl_->options.max_line_bytes;
+    const auto read = [&](std::vector<std::string>& lines, bool block) {
+      // Every complete line was framed when its bytes arrived.
+      if (!block) return true;
+      char chunk[4096];
+      const ssize_t n = ::read(fd, chunk, sizeof chunk);
+      if (n <= 0) return false;
+      buffer.append(chunk, static_cast<std::size_t>(n));
+      std::size_t pos = 0;
+      for (std::size_t nl = buffer.find('\n'); nl != std::string::npos;
+           nl = buffer.find('\n', pos)) {
+        if (skipping_oversize) {
+          skipping_oversize = false;  // tail of the answered line; drop it
+        } else {
+          lines.push_back(buffer.substr(pos, nl - pos));
+        }
+        pos = nl + 1;
       }
+      buffer.erase(0, pos);
+      if (skipping_oversize) {
+        buffer.clear();  // still inside the oversized line
+      } else if (max_line > 0 && buffer.size() > max_line) {
+        // Feed the oversized partial through the normal pipeline: the
+        // parse-side length guard turns it into one accounted
+        // `bad_request` reply, and we skip until its newline arrives.
+        lines.push_back(std::move(buffer));
+        buffer.clear();
+        skipping_oversize = true;
+      }
+      return true;
     };
-    const auto write_all = [&](const std::string& reply) {
+    const auto write = [&](const std::vector<std::string>& replies) {
+      std::string reply;
+      for (const std::string& r : replies) {
+        reply += r;
+        reply += '\n';
+      }
       std::size_t written = 0;
       while (written < reply.size()) {
         const ssize_t w =
@@ -1741,88 +1772,7 @@ void Service::run_socket(const std::string& path) {
       }
       return true;
     };
-    const auto respond = [&](std::vector<TimedLine> window) {
-      std::string reply;
-      for (const std::string& response : impl_->process(std::move(window))) {
-        reply += response;
-        reply += '\n';
-      }
-      return write_all(reply);
-    };
-    bool alive = true;
-    while (alive && !impl_->shutdown) {
-      // Block on read() only when nothing actionable is buffered: a client
-      // that bursts more than one window of lines and then waits for its
-      // replies must not deadlock on the server also waiting.
-      if (pending.empty() && shed.empty()) {
-        const ssize_t n = ::read(fd, chunk, sizeof chunk);
-        if (n <= 0) break;
-        buffer.append(chunk, static_cast<std::size_t>(n));
-        std::size_t pos = 0;
-        for (std::size_t nl = buffer.find('\n'); nl != std::string::npos;
-             nl = buffer.find('\n', pos)) {
-          std::string one = buffer.substr(pos, nl - pos);
-          pos = nl + 1;
-          if (skipping_oversize) {
-            skipping_oversize = false;  // tail of the answered line; drop it
-          } else {
-            admit(std::move(one));
-          }
-        }
-        buffer.erase(0, pos);
-        if (skipping_oversize) {
-          buffer.clear();  // still inside the oversized line
-        } else if (buffer.size() > impl_->options.max_line_bytes &&
-                   impl_->options.max_line_bytes > 0) {
-          // Feed the oversized partial through the normal pipeline: the
-          // parse-side length guard turns it into one accounted
-          // `bad_request` reply, and we skip until its newline arrives.
-          admit(std::move(buffer));
-          buffer.clear();
-          skipping_oversize = true;
-        }
-        if (pending.empty() && shed.empty()) continue;
-      }
-      impl_->note_queue_depth(pending.size());
-      std::vector<TimedLine> window;
-      while (static_cast<int>(window.size()) < impl_->options.window &&
-             !pending.empty()) {
-        window.push_back(std::move(pending.front()));
-        pending.pop_front();
-      }
-      for (TimedLine& tl : shed) window.push_back(std::move(tl));
-      shed.clear();
-      served += static_cast<std::int64_t>(window.size());
-      alive = respond(std::move(window));
-    }
-    // Bounded shutdown drain: answer everything this client already sent
-    // (queued lines plus any complete buffered ones) with structured
-    // `shutting_down` errors before closing.
-    if (impl_->shutdown && alive) {
-      std::size_t pos = 0;
-      for (std::size_t nl = buffer.find('\n'); nl != std::string::npos;
-           nl = buffer.find('\n', pos)) {
-        std::string one = buffer.substr(pos, nl - pos);
-        pos = nl + 1;
-        if (skipping_oversize) {
-          skipping_oversize = false;
-        } else if (!blank(one)) {
-          pending.push_back({std::move(one), Clock::now()});
-        }
-      }
-      for (TimedLine& tl : shed) pending.push_back(std::move(tl));
-      shed.clear();
-      if (!pending.empty()) {
-        std::vector<TimedLine> leftovers;
-        leftovers.reserve(pending.size());
-        for (TimedLine& tl : pending) {
-          tl.admission = Admission::ShedShutdown;
-          leftovers.push_back(std::move(tl));
-        }
-        pending.clear();
-        (void)respond(std::move(leftovers));
-      }
-    }
+    impl_->serve_stream(read, write, served);
     ::close(fd);
   }
   ::close(listener);

@@ -16,8 +16,9 @@
 //      shares one compile per distinct plan, and the window's measured
 //      repetitions fan out across the runtime::ThreadPool as one task
 //      each -- repetition l of request r runs reset(mix_seed(r.seed, l));
-//      execute(compiled) on a reused per-worker engine, exactly what
-//      core::measure does.  Responses are bit-identical to one-shot
+//      execute(compiled) on a reused per-worker engine, and the clocks
+//      reduce through core::fold_repetitions, exactly what core::measure
+//      does.  Responses are bit-identical to one-shot
 //      Advisor::rank + core::measure for the same query at any --jobs /
 //      window.
 //   3. **Per-request accounting** reusing src/obs/: cache hits/misses,
@@ -56,6 +57,8 @@
 // observed window drain rate.  {"cmd": "shutdown"} drains bounded: the
 // shutdown's own window is answered normally, everything still queued or
 // buffered gets a `shutting_down` error -- no request goes unanswered.
+// handle_window, run and run_socket share one admission / window / drain
+// path, so the transports differ only in how they read and write lines.
 // An engine FaultAbort becomes a structured `fault_abort` error carrying
 // the abort's strategy/src/dst/path/attempts; sibling requests in the
 // same window are unaffected.  Control lines are never shed, so stats
@@ -90,14 +93,13 @@ struct ServiceOptions {
   /// line is taken only when already buffered, so an interactive client
   /// still gets per-request turnaround while a bursty producer batches.
   int window = 64;
-  /// Compiled-plan cache geometry.  capacity 0 disables caching -- every
-  /// query compiles; the serve_load bench uses that as the cold baseline.
-  int cache_shards = 8;
+  /// Compiled-plan cache entries.  0 disables caching -- every query
+  /// compiles; the serve_load bench uses that as the cold baseline.  The
+  /// cache has max(8, pool threads) lock shards; the pattern registry
+  /// (1024 patterns addressable by {"ref": hash}) half as many.
   std::size_t cache_capacity = 256;
-  /// Pattern registry entries (patterns addressable by {"ref": hash}).
-  std::size_t pattern_capacity = 1024;
-  /// Stop run() after this many data requests (0 = unlimited); control
-  /// lines do not count.  CI smoke uses this as a safety stop.
+  /// Stop run() / run_socket() after this many request lines
+  /// (0 = unlimited).  CI smoke uses this as a safety stop.
   std::int64_t max_requests = 0;
   /// Admission control: data requests pending beyond this bound are shed
   /// per `shed_policy` (0 = unbounded, the backward-compatible default).
@@ -115,19 +117,17 @@ struct ServiceOptions {
   /// more without a newline gets one `bad_request` error and its buffer
   /// dropped instead of growing the server's memory without bound.
   std::size_t max_line_bytes = 1u << 20;
-  /// Machine used when a request names none.
+  /// Machine used when a request names none.  Measurements use
+  /// core::MeasureOptions' default noise level, as the CLI does.
   std::string default_machine = "lassen";
-  /// Measurement noise level, matching the CLI's measure defaults.
-  double noise_sigma = 0.02;
   /// Span tracing (hetcomm.trace.v1; see docs/tracing.md).  false = no
   /// tracer is constructed and every instrumentation site is one null
-  /// check; true = record request/window span trees, sampled per request.
+  /// check; true = record request/window span trees, sampled per request,
+  /// into per-worker rings of 8192 spans (drop-oldest beyond that).
   bool trace = false;
   /// Keep every Nth request trace (1 = all).  Window-level traces sample
   /// on the same dense id sequence.
   std::uint64_t trace_sample = 1;
-  /// Spans retained per worker ring before drop-oldest kicks in.
-  std::size_t trace_ring_capacity = 8192;
 };
 
 class Service {
@@ -150,12 +150,15 @@ class Service {
 
   /// NDJSON loop: drain up to `window` buffered lines per batch, write one
   /// response line each, flush per window.  Returns on EOF, on a shutdown
-  /// request, or after max_requests data requests.
+  /// request (after draining what was already read), or after
+  /// max_requests lines.
   void run(std::istream& in, std::ostream& out);
 
   /// Serve the same protocol over a Unix-domain stream socket (one client
-  /// at a time; returns when a client sends {"cmd": "shutdown"}).  Throws
-  /// std::runtime_error when the socket cannot be created or bound.
+  /// at a time; returns when a client sends {"cmd": "shutdown"} or after
+  /// max_requests lines).  Lines longer than max_line_bytes are answered
+  /// with one bad_request each.  Throws std::runtime_error when the socket
+  /// cannot be created or bound.
   void run_socket(const std::string& path);
 
   [[nodiscard]] bool shutdown_requested() const noexcept;

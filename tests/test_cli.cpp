@@ -5,6 +5,7 @@
 #include <cstdio>
 #include <fstream>
 #include <sstream>
+#include <string>
 
 #include "core/pattern_io.hpp"
 #include "core/strategy.hpp"
@@ -44,6 +45,15 @@ TEST(CliParse, RejectsBadInput) {
   EXPECT_THROW((void)parse({"compare", "--nodes", "abc"}), std::invalid_argument);
   EXPECT_THROW((void)parse({"compare", "--nodes", "0"}), std::invalid_argument);
   EXPECT_THROW((void)parse({"compare", "--bogus", "1"}), std::invalid_argument);
+  // serve derives its cache shard count from the pool size; the old knob
+  // is an unknown flag, not a silently ignored one.
+  try {
+    (void)parse({"serve", "--cache-shards", "8"});
+    ADD_FAILURE() << "--cache-shards must be rejected";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("unknown flag '--cache-shards'"),
+              std::string::npos);
+  }
   EXPECT_THROW((void)parse({"compare", "--matrix", "a.mtx", "--standin", "ldoor"}),
                std::invalid_argument);
 }

@@ -10,6 +10,7 @@
 
 #include <cstdio>
 #include <fstream>
+#include <memory>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -495,6 +496,55 @@ TEST(FaultSim, EngineReusableAfterFaultAbort) {
       measure_with(plan, topo, mach.params, nullptr, ExecMode::Compiled, 1);
   EXPECT_EQ(after, measure_with(plan, topo, mach.params, nullptr,
                                 ExecMode::Compiled, 1));
+}
+
+TEST(FaultSim, FreshEngineKeysFaultsOnItsNoiseSeed) {
+  // An engine constructed with NoiseModel(s, sigma) must draw its fault
+  // stream from s, exactly as one reset(s) does -- not from a default run
+  // seed until the first reset.
+  const machine::MachineModel mach = machine::preset_machine("lassen");
+  const Topology topo = mach.topology(2);
+  const core::CommPattern pattern = core::random_pattern(topo, 16, 4096, 5);
+  const core::CommPlan plan = core::build_plan(pattern, topo, mach.params,
+                                               core::table5_strategies()[0]);
+
+  // Half the off-node attempts lost, never all of them: which ones depends
+  // on the fault stream, and the retries show in the clocks.
+  FaultPlan lossy;
+  {
+    fault::MessageLoss loss;
+    loss.path = "off-node";
+    loss.probability = 0.5;
+    loss.retry.max_attempts = 64;
+    lossy.message_loss.push_back(loss);
+  }
+  const FaultModel lossy_model = lossy.compile(topo, mach.params);
+  const FaultModel flaky_model =
+      fault::load_fault_file(std::string(HETCOMM_TEST_DATA_DIR) +
+                             "/flaky_abort.json")
+          .compile(topo, mach.params);
+
+  constexpr std::uint64_t kSeed = 42;
+  const auto engine_with = [&](const FaultModel& model, bool reset) {
+    auto engine = std::make_unique<Engine>(topo, mach.params,
+                                           NoiseModel(kSeed, 0.02));
+    engine->set_faults(&model);
+    if (reset) engine->reset(kSeed);
+    return engine;
+  };
+  EXPECT_EQ(core::run_plan(*engine_with(lossy_model, false), plan),
+            core::run_plan(*engine_with(lossy_model, true), plan));
+
+  const auto abort_of = [&](bool reset) {
+    try {
+      (void)core::run_plan(*engine_with(flaky_model, reset), plan);
+    } catch (const FaultAbort& e) {
+      return std::vector<int>{e.src, e.dst, e.path_id, e.attempts};
+    }
+    ADD_FAILURE() << "flaky_abort must abort";
+    return std::vector<int>{};
+  };
+  EXPECT_EQ(abort_of(false), abort_of(true));
 }
 
 TEST(FaultSim, MetricsGrowFaultSectionOnlyWhenFaulted) {

@@ -2,11 +2,15 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <chrono>
+#include <cstddef>
 #include <cstdint>
 #include <cstdio>
 #include <optional>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "core/advisor.hpp"
@@ -19,6 +23,12 @@
 #include "hetsim/faults.hpp"
 #include "machine/machine_json.hpp"
 #include "obs/json.hpp"
+
+#ifdef __unix__
+#include <sys/socket.h>
+#include <sys/un.h>
+#include <unistd.h>
+#endif
 
 namespace hetcomm::serve {
 namespace {
@@ -508,6 +518,205 @@ TEST(ServeTest, ZeroCapacityCacheCompilesEveryQuery) {
   EXPECT_EQ(b.at("cache").as_string(), "miss");
   EXPECT_DOUBLE_EQ(a.at("measured").at("max_avg").as_double(),
                    b.at("measured").at("max_avg").as_double());
+}
+
+/// Replies split into lines, one parsed document each.
+std::vector<JsonValue> reply_docs(const std::vector<std::string>& lines) {
+  std::vector<JsonValue> docs;
+  for (const std::string& line : lines) docs.push_back(parse(line));
+  return docs;
+}
+
+std::vector<JsonValue> run_session(const ServiceOptions& options,
+                                   const std::string& session) {
+  Service service(options);
+  std::istringstream in(session);
+  std::ostringstream out;
+  service.run(in, out);
+  std::vector<std::string> lines;
+  std::istringstream replies(out.str());
+  for (std::string line; std::getline(replies, line);) lines.push_back(line);
+  return reply_docs(lines);
+}
+
+/// A reply without the top-level keys that depend on wall time, queue
+/// state or cache warmth (the volatile set serve/chaos.cpp strips).
+std::string stable(const JsonValue& reply) {
+  JsonValue strip = JsonValue::object();
+  for (const auto& [key, value] : reply.members()) {
+    if (key != "latency_seconds" && key != "timing" && key != "cache" &&
+        key != "compile_seconds" && key != "retry_after_ms") {
+      strip.set(key, value);
+    }
+  }
+  return strip.dump_string(0);
+}
+
+std::string request_counts(const JsonValue& stats_reply) {
+  return stats_reply.at("stats").at("serve").at("requests").dump_string(0);
+}
+
+#ifdef __unix__
+
+/// Send `session` to a run_socket server in one write and read every reply
+/// line until the server closes the connection.
+std::vector<JsonValue> socket_session(const ServiceOptions& options,
+                                      const std::string& session) {
+  Service service(options);
+  const std::string path = ::testing::TempDir() + "hetcomm_serve_session_" +
+                           std::to_string(::getpid()) + ".sock";
+  std::string server_error;
+  std::thread server([&] {
+    try {
+      service.run_socket(path);
+    } catch (const std::exception& e) {
+      server_error = e.what();
+    }
+  });
+  sockaddr_un addr{};
+  addr.sun_family = AF_UNIX;
+  std::copy(path.begin(), path.end(), addr.sun_path);
+  int fd = -1;
+  for (int attempt = 0; attempt < 400 && fd < 0; ++attempt) {
+    fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
+    if (::connect(fd, reinterpret_cast<const sockaddr*>(&addr),
+                  sizeof(addr)) != 0) {
+      ::close(fd);
+      fd = -1;
+      std::this_thread::sleep_for(std::chrono::milliseconds(5));
+    }
+  }
+  std::string received;
+  if (fd >= 0) {
+    EXPECT_EQ(::write(fd, session.data(), session.size()),
+              static_cast<ssize_t>(session.size()));
+    char chunk[4096];
+    for (ssize_t n; (n = ::read(fd, chunk, sizeof chunk)) > 0;) {
+      received.append(chunk, static_cast<std::size_t>(n));
+    }
+    ::close(fd);
+  } else {
+    ADD_FAILURE() << "cannot connect to " << path << ": " << server_error;
+  }
+  server.join();
+  std::vector<std::string> lines;
+  std::istringstream replies(received);
+  for (std::string line; std::getline(replies, line);) lines.push_back(line);
+  return reply_docs(lines);
+}
+
+#endif
+
+TEST(ServeTest, ScriptedSessionMatchesAcrossTransports) {
+  // One session through run(), run_socket() and handle_window: the three
+  // entry points share one admission / window / drain path, so their
+  // replies agree line for line.  The session stays under one 4 KiB socket
+  // read, so the socket server forms the same windows as run().
+  ServiceOptions options;
+  options.window = 2;
+  options.max_line_bytes = 512;
+  const std::string measured_a =
+      R"("machine": "lassen", "nodes": 2, )" + pattern_body() +
+      R"(, "strategy": "split+MD", "reps": 2)";
+  const std::vector<std::string> lines = {
+      "{\"id\": 0, " + measured_a + R"(, "seed": 3})",
+      "this is not json",
+      R"({"id": 2, "machine": "lassen", "nodes": 2, )" + pattern_body() +
+          R"(, "reps": 0})",
+      std::string(600, 'x'),  // over max_line_bytes
+      R"({"id": 4, "cmd": "stats"})",
+      R"({"id": 5, "machine": "lassen", "nodes": 2, )" + pattern_body() +
+          R"x(, "strategy": "standard (staged)", "reps": 3, "seed": 9})x",
+      "{\"id\": 6, " + measured_a + R"(, "seed": 4})",
+      R"({"id": 7, "cmd": "shutdown"})",  // closes the 4th window of 2
+      "{\"id\": 8, " + measured_a + R"(, "seed": 5})",
+      R"({"id": 9, "machine": "lassen", "nodes": 2, )" + pattern_body() +
+          R"(, "reps": 0})",
+  };
+  const std::size_t oversized = 3;
+  const std::size_t stats = 4;
+  const std::size_t shutdown = 7;
+  std::string session;
+  for (const std::string& line : lines) session += line + "\n";
+  ASSERT_LT(session.size(), 4096u);
+
+  const std::vector<JsonValue> via_run = run_session(options, session);
+  ASSERT_EQ(via_run.size(), lines.size());
+  EXPECT_EQ(via_run[oversized].at("error_code").as_string(), "bad_request");
+  EXPECT_TRUE(via_run[shutdown].at("shutdown").as_bool());
+  EXPECT_EQ(via_run[stats].at("stats").at("serve").at("requests")
+                .at("total").as_int(),
+            5);
+
+  const auto expect_same = [&](const std::vector<JsonValue>& got,
+                               std::size_t count, const char* label) {
+    ASSERT_GE(got.size(), count) << label;
+    for (std::size_t i = 0; i < count; ++i) {
+      if (i == stats) {
+        EXPECT_EQ(request_counts(got[i]), request_counts(via_run[i]))
+            << label << " line " << i;
+      } else if (i == oversized) {
+        EXPECT_EQ(got[i].at("error_code").as_string(),
+                  via_run[i].at("error_code").as_string())
+            << label;
+      } else if (i > shutdown) {
+        EXPECT_EQ(got[i].at("error_code").as_string(), "shutting_down")
+            << label << " line " << i;
+        EXPECT_EQ(via_run[i].at("error_code").as_string(), "shutting_down")
+            << label << " line " << i;
+      } else {
+        EXPECT_EQ(stable(got[i]), stable(via_run[i]))
+            << label << " line " << i;
+      }
+    }
+  };
+
+  Service direct(options);
+  expect_same(reply_docs(direct.handle_window(std::vector<std::string>(
+                  lines.begin(),
+                  lines.begin() + static_cast<std::ptrdiff_t>(shutdown)))),
+              shutdown, "handle_window");
+
+#ifdef __unix__
+  const std::vector<JsonValue> via_socket = socket_session(options, session);
+  EXPECT_EQ(via_socket.size(), lines.size());
+  expect_same(via_socket, lines.size(), "run_socket");
+#endif
+}
+
+TEST(ServeTest, RunShedsOverMaxQueueLikeHandleWindow) {
+  // Lines read in one burst are admitted by the same rule as a synchronous
+  // window: the first max_queue join the queue, the rest are shed into the
+  // same flush, control lines answer normally.
+  ServiceOptions options;
+  options.max_queue = 1;
+  const std::string r =
+      R"("machine": "lassen", "nodes": 2, )" + pattern_body() +
+      R"(, "strategy": "split+MD", "reps": 2, "seed": 1})";
+  const std::vector<std::string> lines = {
+      "{\"id\": 0, " + r, "{\"id\": 1, " + r, "{\"id\": 2, " + r,
+      R"({"id": 3, "cmd": "stats"})"};
+  std::string session;
+  for (const std::string& line : lines) session += line + "\n";
+
+  const std::vector<JsonValue> via_run = run_session(options, session);
+  Service direct(options);
+  const std::vector<JsonValue> via_window =
+      reply_docs(direct.handle_window(lines));
+  ASSERT_EQ(via_run.size(), lines.size());
+  ASSERT_EQ(via_window.size(), lines.size());
+  for (std::size_t i = 0; i < 3; ++i) {
+    EXPECT_EQ(stable(via_run[i]), stable(via_window[i])) << "line " << i;
+  }
+  EXPECT_EQ(via_run[1].at("error_code").as_string(), "overloaded");
+  EXPECT_EQ(via_run[2].at("error_code").as_string(), "overloaded");
+  EXPECT_EQ(request_counts(via_run[3]), request_counts(via_window[3]));
+  const auto shed = [](const JsonValue& reply) {
+    return reply.at("stats").at("serve").at("resilience")
+        .at("shed_overloaded").as_int();
+  };
+  EXPECT_EQ(shed(via_run[3]), 2);
+  EXPECT_EQ(shed(via_window[3]), 2);
 }
 
 }  // namespace

@@ -10,51 +10,17 @@
 // malformed perf-smoke artifact fails the pipeline instead of uploading.
 
 #include <cstdint>
-#include <fstream>
 #include <iostream>
 #include <sstream>
-#include <stdexcept>
 #include <string>
 
 #include "obs/json.hpp"
 #include "obs/run_report.hpp"
+#include "validate_common.hpp"
 
 namespace {
 
-using hetcomm::obs::JsonValue;
-
-[[noreturn]] void fail(const std::string& file, const std::string& what) {
-  throw std::runtime_error(file + ": " + what);
-}
-
-const JsonValue& require(const std::string& file, const JsonValue& obj,
-                         const std::string& key, JsonValue::Kind kind) {
-  const JsonValue* v = obj.find(key);
-  if (v == nullptr) fail(file, "missing field \"" + key + "\"");
-  if (v->kind() != kind) fail(file, "field \"" + key + "\" has wrong type");
-  return *v;
-}
-
-const JsonValue& require_number(const std::string& file, const JsonValue& obj,
-                                const std::string& key) {
-  const JsonValue* v = obj.find(key);
-  if (v == nullptr) fail(file, "missing field \"" + key + "\"");
-  if (v->kind() != JsonValue::Kind::Int &&
-      v->kind() != JsonValue::Kind::Double) {
-    fail(file, "field \"" + key + "\" is not a number");
-  }
-  return *v;
-}
-
-void check_summary(const std::string& file, const JsonValue& s,
-                   const std::string& where) {
-  for (const char* key : {"count", "mean", "p50", "p99", "min", "max"}) {
-    if (s.find(key) == nullptr || (s.find(key)->kind() != JsonValue::Kind::Int &&
-                                   s.find(key)->kind() != JsonValue::Kind::Double)) {
-      fail(file, where + ": summary missing numeric \"" + std::string(key) + "\"");
-    }
-  }
-}
+using namespace hetcomm::validate;
 
 void check_report(const std::string& file, const JsonValue& report) {
   const std::string name =
@@ -116,11 +82,7 @@ void check_report(const std::string& file, const JsonValue& report) {
 }
 
 void validate_file(const std::string& file) {
-  std::ifstream in(file);
-  if (!in) fail(file, "cannot open");
-  std::ostringstream buf;
-  buf << in.rdbuf();
-  const JsonValue doc = JsonValue::parse(buf.str());
+  const JsonValue doc = load(file);
 
   const std::string schema =
       require(file, doc, "schema", JsonValue::Kind::String).as_string();
@@ -140,15 +102,6 @@ void validate_file(const std::string& file) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  if (argc < 2) {
-    std::cerr << "usage: validate_metrics FILE...\n";
-    return 2;
-  }
-  try {
-    for (int i = 1; i < argc; ++i) validate_file(argv[i]);
-  } catch (const std::exception& e) {
-    std::cerr << "validate_metrics: " << e.what() << "\n";
-    return 1;
-  }
-  return 0;
+  return hetcomm::validate::run_main("validate_metrics", argc, argv,
+                                     validate_file);
 }
