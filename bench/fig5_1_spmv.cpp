@@ -12,6 +12,9 @@
 
 #include <cmath>
 #include <iostream>
+#include <optional>
+#include <string>
+#include <vector>
 
 #include "bench_common.hpp"
 #include "core/executor.hpp"
@@ -61,8 +64,31 @@ int main(int argc, char** argv) {
     }
     Table table(std::move(headers));
 
-    // Grid: strategy x GPU count, fanned across the sweep pool.  The first
-    // strategy's cells additionally collect the pattern statistics footer.
+    // Stage 1: one topology, SpMV pattern and statistics footer per GPU
+    // count, shared by every strategy cell of that column.
+    struct Column {
+      std::optional<Topology> topo;
+      std::optional<CommPattern> pattern;
+      std::string footer;
+    };
+    const std::vector<Column> columns = runtime::sweep(
+        gpu_counts,
+        [&](const int& g) {
+          Column col;
+          col.topo.emplace(mach.topology(mach.nodes_for_gpus(g)));
+          col.pattern.emplace(sparse::spmv_comm_pattern(
+              matrix, sparse::RowPartition::contiguous(matrix.rows(), g),
+              *col.topo, bytes_per_value));
+          const PatternStats st = compute_stats(*col.pattern, *col.topo);
+          col.footer = std::to_string(g) + " GPUs: Recv Nodes=" +
+                       std::to_string(st.num_internode_nodes) + ", volume=" +
+                       Table::bytes(st.total_internode_bytes) + ", msgs=" +
+                       std::to_string(st.total_internode_messages);
+          return col;
+        },
+        opts.sweep_options());
+
+    // Stage 2: strategy x GPU count, fanned across the sweep pool.
     struct Cell {
       std::size_t si = 0;
       std::size_t gi = 0;
@@ -73,33 +99,13 @@ int main(int argc, char** argv) {
         grid.push_back({si, gi});
       }
     }
-
-    std::vector<std::string> footer(gpu_counts.size());
-    struct CellResult {
-      double seconds = 0.0;
-    };
-    const std::vector<CellResult> results = runtime::sweep(
+    const std::vector<double> results = runtime::sweep(
         grid,
         [&](const Cell& cell) {
-          const int g = gpu_counts[cell.gi];
-          const Topology topo = mach.topology(mach.nodes_for_gpus(g));
-          const sparse::RowPartition part =
-              sparse::RowPartition::contiguous(matrix.rows(), g);
-          const CommPattern pattern =
-              sparse::spmv_comm_pattern(matrix, part, topo, bytes_per_value);
-          const CommPlan plan =
-              build_plan(pattern, topo, params, strategies[cell.si]);
-          CellResult r;
-          r.seconds = measure(plan, topo, params, mopts).max_avg;
-          if (cell.si == 0) {  // pattern statistics, once per GPU count
-            const PatternStats st = compute_stats(pattern, topo);
-            footer[cell.gi] =
-                std::to_string(g) + " GPUs: Recv Nodes=" +
-                std::to_string(st.num_internode_nodes) + ", volume=" +
-                Table::bytes(st.total_internode_bytes) + ", msgs=" +
-                std::to_string(st.total_internode_messages);
-          }
-          return r;
+          const Column& col = columns[cell.gi];
+          const CommPlan plan = build_plan(*col.pattern, *col.topo, params,
+                                           strategies[cell.si]);
+          return measure(plan, *col.topo, params, mopts).max_avg;
         },
         opts.sweep_options());
 
@@ -108,7 +114,7 @@ int main(int argc, char** argv) {
     for (std::size_t si = 0; si < strategies.size(); ++si) {
       std::vector<std::string> row{strategies[si].name()};
       for (std::size_t gi = 0; gi < gpu_counts.size(); ++gi) {
-        const double t = results[si * gpu_counts.size() + gi].seconds;
+        const double t = results[si * gpu_counts.size() + gi];
         row.push_back(Table::sci(t));
         if (t < best[gi]) {
           best[gi] = t;
@@ -120,7 +126,7 @@ int main(int argc, char** argv) {
 
     opts.emit(table, "Figure 5.1 -- " + profile.name + " (stand-in, scale " +
                          Table::num(scale, 3) + ")");
-    for (const std::string& f : footer) std::cout << "  " << f << "\n";
+    for (const Column& col : columns) std::cout << "  " << col.footer << "\n";
     std::cout << "  minimum: ";
     for (std::size_t gi = 0; gi < gpu_counts.size(); ++gi) {
       std::cout << gpu_counts[gi] << " GPUs -> " << best_name[gi] << "   ";

@@ -249,8 +249,46 @@ void BM_RepCompiled(benchmark::State& state) {
     benchmark::DoNotOptimize(engine.max_clock());
   }
   state.SetItemsProcessed(state.iterations());
+  state.counters["sim_messages_per_s"] = benchmark::Counter(
+      static_cast<double>(state.iterations() * compiled.total_messages()),
+      benchmark::Counter::kIsRate);
 }
 BENCHMARK(BM_RepCompiled);
+
+// Wide-phase repetition: the Serena stand-in at 320 GPUs (fig5_1 scale,
+// 80 Lassen nodes) under standard (staged, chunked-pipeline), the
+// strategy with that column's widest phase (~28k messages in one sorted
+// schedule).  Items are simulated messages; BM_RepCompiled reports the same
+// rate as sim_messages_per_s, so the two compare within one run.
+void BM_RepCompiledWide(benchmark::State& state) {
+  static const struct WideFixture {
+    machine::MachineModel mach = machine::lassen_machine();
+    Topology topo = mach.topology(mach.nodes_for_gpus(320));
+    CommPlan plan;
+    WideFixture() {
+      const double scale = 0.015;
+      const sparse::CsrMatrix matrix = sparse::generate_standin(
+          sparse::profile_by_name("Serena"), scale, 11);
+      const sparse::RowPartition part =
+          sparse::RowPartition::contiguous(matrix.rows(), topo.num_gpus());
+      const CommPattern pattern = sparse::spmv_comm_pattern(
+          matrix, part, topo, std::llround(8.0 / scale));
+      plan = build_plan(pattern, topo, mach.params,
+                        {StrategyKind::Standard, MemSpace::Host, 0, 4,
+                         SplitMode::ChunkedPipeline});
+    }
+  } f;
+  const CompiledPlan compiled(f.plan, f.topo, f.mach.params);
+  Engine engine(f.topo, f.mach.params, NoiseModel(1, 0.02));
+  std::int64_t rep = 0;
+  for (auto _ : state) {
+    engine.reset(mix_seed(1, static_cast<std::uint64_t>(++rep)));
+    engine.execute(compiled);
+    benchmark::DoNotOptimize(engine.max_clock());
+  }
+  state.SetItemsProcessed(state.iterations() * compiled.total_messages());
+}
+BENCHMARK(BM_RepCompiledWide)->Unit(benchmark::kMicrosecond);
 
 // End-to-end measure() in both modes (compile cost included for Compiled).
 void BM_MeasureEngineMode(benchmark::State& state) {

@@ -1,6 +1,7 @@
 #include "core/compiled_plan.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cstring>
 #include <numeric>
 #include <stdexcept>
@@ -274,17 +275,27 @@ namespace {
 /// (ready, index) strict total order with no double-compare branches.
 ///
 /// When `order` already holds a permutation of the right size -- the
-/// previous repetition's schedule order -- the keys
-/// are built in that order and sorted by a warm-start insertion pass:
-/// jitter rarely reorders ready times between adjacent repetitions, so
-/// nearly every element stays put, where a comparison sort on freshly
-/// jittered keys pays a misprediction per comparison.  Any permutation
-/// yields the same unique total order, so results never depend on engine
-/// history; a stale hint only costs time.
+/// previous repetition's schedule order -- the keys are built in that order
+/// and sorted by a warm-start insertion pass.  On small phases jitter
+/// barely reorders ready times between repetitions (~8 shifts per key on
+/// BM_RepCompiled's ~65-message phases), where a comparison sort on freshly
+/// jittered keys pays a misprediction per comparison.  On phases with
+/// thousands of messages jitter reorders nearly everything and insertion
+/// turns quadratic (~200 shifts per key over the Fig-5.1 grid), so the pass
+/// runs on a budget: the first k keys may make at most
+/// kShiftsPerCompare * bit_width(n) * k shifts, which caps the whole pass
+/// at the order of a comparison sort's n log n and gives up within a few
+/// keys on a phase that is disordered throughout.  Past the budget the keys
+/// are finished by std::sort.  A stale hint (another plan's order of the
+/// same size on a reused engine) is bounded the same way.  Any permutation
+/// and either path yield the same unique total order, so results never
+/// depend on engine history; a stale hint only costs time.
 void sort_schedule_order(std::vector<std::uint32_t>& order,
                          std::vector<std::pair<std::uint64_t, std::uint32_t>>&
                              keyed,
                          std::size_t count, const double* ready) {
+  // The smallest factor at which BM_RepCompiled's phases never exceed it.
+  constexpr std::size_t kShiftsPerCompare = 4;
   const bool warm = order.size() == count;
   keyed.resize(count);
   for (std::size_t k = 0; k < count; ++k) {
@@ -293,7 +304,11 @@ void sort_schedule_order(std::vector<std::uint32_t>& order,
     std::memcpy(&bits, &ready[i], sizeof bits);
     keyed[k] = {bits, i};
   }
+  bool sorted = warm;
   if (warm) {
+    const std::size_t per_key =
+        kShiftsPerCompare * static_cast<std::size_t>(std::bit_width(count));
+    std::size_t shifts = 0;
     for (std::size_t k = 1; k < count; ++k) {
       const std::pair<std::uint64_t, std::uint32_t> v = keyed[k];
       std::size_t j = k;
@@ -302,11 +317,16 @@ void sort_schedule_order(std::vector<std::uint32_t>& order,
         --j;
       }
       keyed[j] = v;
+      shifts += k - j;
+      if (shifts > per_key * k) {
+        sorted = false;
+        break;
+      }
     }
   } else {
     order.resize(count);
-    std::sort(keyed.begin(), keyed.end());
   }
+  if (!sorted) std::sort(keyed.begin(), keyed.end());
   for (std::size_t k = 0; k < count; ++k) order[k] = keyed[k].second;
 }
 

@@ -364,13 +364,15 @@ class Engine {
   std::vector<double> post_recv_scratch_;      ///< compiled: recv post times
   std::vector<double> ready_scratch_;          ///< compiled: transfer ready
   /// Per-phase schedule orders, kept across execute() calls as the
-  /// *starting permutation* for the next (ready, index) sort.  Noise jitter
-  /// rarely reorders ready times between repetitions, so re-sorting from
-  /// the previous order is a near-linear insertion pass with predictable
-  /// branches instead of an O(M log M) comparison sort on freshly jittered
-  /// keys.  Purely a warm start: the sort result is the unique strict
-  /// total order whatever the hint holds, so results never depend on
-  /// engine history.
+  /// *starting permutation* for the next (ready, index) sort.  On small
+  /// phases jitter barely reorders ready times between repetitions, so
+  /// re-sorting from the previous order is an insertion pass with
+  /// predictable branches.  On wide phases jitter reorders nearly
+  /// everything, so the pass stops once it has made more than
+  /// 4 * bit_width(M) shifts per key so far (at most 4 * M * bit_width(M)
+  /// in all) and std::sort finishes the M keys.  Purely a warm start: the
+  /// sort result is the unique strict total order whatever the hint holds,
+  /// so results never depend on engine history.
   std::vector<std::vector<std::uint32_t>> sched_order_cache_;
   /// Scratch for the schedule sort: (ready bit pattern, index) keys packed
   /// so the sort compares integers in place of gathered doubles.

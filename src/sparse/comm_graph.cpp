@@ -2,8 +2,8 @@
 
 #include <algorithm>
 #include <map>
-#include <set>
 #include <stdexcept>
+#include <vector>
 
 namespace hetcomm::sparse {
 
@@ -18,6 +18,9 @@ HaloMap halo_map(const CsrMatrix& a, const RowPartition& partition) {
   halo.needed.resize(static_cast<std::size_t>(partition.parts()));
   const auto& rp = a.row_ptr();
   const auto& ci = a.col_idx();
+  // seen[c] == p once column c is on part p's list: duplicates are dropped
+  // before the sort instead of after it.
+  std::vector<int> seen(static_cast<std::size_t>(a.cols()), -1);
   for (int p = 0; p < partition.parts(); ++p) {
     const std::int64_t lo = partition.first_row(p);
     const std::int64_t hi = partition.last_row(p);
@@ -26,34 +29,73 @@ HaloMap halo_map(const CsrMatrix& a, const RowPartition& partition) {
       for (std::int64_t k = rp[static_cast<std::size_t>(r)];
            k < rp[static_cast<std::size_t>(r) + 1]; ++k) {
         const std::int64_t c = ci[static_cast<std::size_t>(k)];
-        if (c < lo || c >= hi) need.push_back(c);
+        if (c >= lo && c < hi) continue;
+        int& s = seen[static_cast<std::size_t>(c)];
+        if (s == p) continue;
+        s = p;
+        need.push_back(c);
       }
     }
     std::sort(need.begin(), need.end());
-    need.erase(std::unique(need.begin(), need.end()), need.end());
   }
   return halo;
 }
 
-core::CommPattern spmv_comm_pattern(const CsrMatrix& a,
-                                    const RowPartition& partition,
-                                    std::int64_t bytes_per_value) {
+namespace {
+
+/// Calls f(column, owner) for each column of one part's sorted halo list.
+/// Owners of ascending columns ascend, so one cursor over the partition
+/// offsets replaces a binary search per column; empty parts are skipped
+/// exactly as RowPartition::owner_of skips them.
+template <class F>
+void for_each_owned(const std::vector<std::int64_t>& columns,
+                    const RowPartition& partition, F&& f) {
+  const std::vector<std::int64_t>& offsets = partition.offsets();
+  std::size_t owner = 0;
+  for (const std::int64_t c : columns) {
+    while (c >= offsets[owner + 1]) ++owner;
+    f(c, static_cast<int>(owner));
+  }
+}
+
+/// One message per (owner, needer) pair, sized by the needer's distinct
+/// columns of that owner.
+core::CommPattern halo_pattern(const HaloMap& halo,
+                               const RowPartition& partition,
+                               std::int64_t bytes_per_value) {
+  core::CommPattern pattern(partition.parts());
+  for (int p = 0; p < partition.parts(); ++p) {
+    int run_owner = -1;
+    std::int64_t count = 0;
+    for_each_owned(halo.needed[static_cast<std::size_t>(p)], partition,
+                   [&](std::int64_t, int owner) {
+                     if (owner != run_owner) {
+                       if (count > 0) {
+                         pattern.add(run_owner, p, count * bytes_per_value);
+                       }
+                       run_owner = owner;
+                       count = 0;
+                     }
+                     ++count;
+                   });
+    if (count > 0) pattern.add(run_owner, p, count * bytes_per_value);
+  }
+  return pattern;
+}
+
+void check_bytes_per_value(std::int64_t bytes_per_value) {
   if (bytes_per_value <= 0) {
     throw std::invalid_argument("spmv_comm_pattern: bad bytes_per_value");
   }
-  const HaloMap halo = halo_map(a, partition);
-  core::CommPattern pattern(partition.parts());
-  for (int p = 0; p < partition.parts(); ++p) {
-    // Count distinct needed columns per owning part.
-    std::map<int, std::int64_t> per_owner;
-    for (const std::int64_t c : halo.needed[static_cast<std::size_t>(p)]) {
-      ++per_owner[partition.owner_of(c)];
-    }
-    for (const auto& [owner, count] : per_owner) {
-      pattern.add(owner, p, count * bytes_per_value);
-    }
-  }
-  return pattern;
+}
+
+}  // namespace
+
+core::CommPattern spmv_comm_pattern(const CsrMatrix& a,
+                                    const RowPartition& partition,
+                                    std::int64_t bytes_per_value) {
+  check_bytes_per_value(bytes_per_value);
+  return halo_pattern(halo_map(a, partition), partition, bytes_per_value);
 }
 
 core::CommPattern spmv_comm_pattern(const CsrMatrix& a,
@@ -64,25 +106,43 @@ core::CommPattern spmv_comm_pattern(const CsrMatrix& a,
     throw std::invalid_argument(
         "spmv_comm_pattern: one partition part per GPU required");
   }
-  core::CommPattern pattern =
-      spmv_comm_pattern(a, partition, bytes_per_value);
+  check_bytes_per_value(bytes_per_value);
+  const HaloMap halo = halo_map(a, partition);
+  core::CommPattern pattern = halo_pattern(halo, partition, bytes_per_value);
 
   // Deduplicated volumes: distinct columns of owner q needed by *any* part
-  // on destination node l.
-  const HaloMap halo = halo_map(a, partition);
-  std::map<std::pair<int, int>, std::set<std::int64_t>> distinct;
-  for (int p = 0; p < partition.parts(); ++p) {
-    const int dst_node = topo.gpu_location(p).node;
-    for (const std::int64_t c : halo.needed[static_cast<std::size_t>(p)]) {
-      const int owner = partition.owner_of(c);
-      if (topo.gpu_location(owner).node == dst_node) continue;
-      distinct[{owner, dst_node}].insert(c);
-    }
+  // on destination node l.  Nodes are visited one at a time over the parts
+  // they hold (nothing assumes a node's GPUs are numbered contiguously);
+  // counted[c] == l once column c is counted for node l, and each column
+  // has one owner, so distinct[q] ends as the size of the (q, l) set.
+  const int parts = partition.parts();
+  std::vector<int> node_of(static_cast<std::size_t>(parts));
+  std::vector<std::vector<int>> parts_on_node(
+      static_cast<std::size_t>(topo.num_nodes()));
+  for (int p = 0; p < parts; ++p) {
+    const int node = topo.gpu_location(p).node;
+    node_of[static_cast<std::size_t>(p)] = node;
+    parts_on_node[static_cast<std::size_t>(node)].push_back(p);
   }
-  for (const auto& [key, columns] : distinct) {
-    pattern.set_node_dedup(key.first, key.second,
-                           static_cast<std::int64_t>(columns.size()) *
-                               bytes_per_value);
+  std::vector<int> counted(static_cast<std::size_t>(a.cols()), -1);
+  std::vector<std::int64_t> distinct(static_cast<std::size_t>(parts), 0);
+  for (int l = 0; l < topo.num_nodes(); ++l) {
+    for (const int p : parts_on_node[static_cast<std::size_t>(l)]) {
+      for_each_owned(halo.needed[static_cast<std::size_t>(p)], partition,
+                     [&](std::int64_t c, int owner) {
+                       const auto q = static_cast<std::size_t>(owner);
+                       int& stamp = counted[static_cast<std::size_t>(c)];
+                       if (node_of[q] == l || stamp == l) return;
+                       stamp = l;
+                       ++distinct[q];
+                     });
+    }
+    for (int q = 0; q < parts; ++q) {
+      std::int64_t& n = distinct[static_cast<std::size_t>(q)];
+      if (n == 0) continue;
+      pattern.set_node_dedup(q, l, n * bytes_per_value);
+      n = 0;
+    }
   }
   return pattern;
 }

@@ -29,8 +29,17 @@ CsrMatrix CsrMatrix::from_triplets(std::int64_t rows, std::int64_t cols,
   m.rows_ = rows;
   m.cols_ = cols;
   m.row_ptr_.assign(static_cast<std::size_t>(rows) + 1, 0);
-  m.col_idx_.reserve(triplets.size());
-  if (with_values) m.values_.reserve(triplets.size());
+  // Reserve the exact entry count: triplets may repeat a (row, col) pair,
+  // and the matrix keeps this capacity for its lifetime.
+  std::size_t distinct = 0;
+  for (std::size_t i = 0; i < triplets.size(); ++i) {
+    if (i == 0 || triplets[i].row != triplets[i - 1].row ||
+        triplets[i].col != triplets[i - 1].col) {
+      ++distinct;
+    }
+  }
+  m.col_idx_.reserve(distinct);
+  if (with_values) m.values_.reserve(distinct);
 
   for (std::size_t i = 0; i < triplets.size();) {
     const std::int64_t r = triplets[i].row;

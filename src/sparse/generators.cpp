@@ -51,10 +51,11 @@ CsrMatrix banded_fem(std::int64_t n, std::int64_t half_band, int degree,
   std::mt19937_64 rng(seed);
   std::uniform_int_distribution<std::int64_t> offset(1, half_band);
 
+  const int half_degree = std::max(1, degree / 2);
+  // Each coupling pushes four triplets, plus one base diagonal per row.
   std::vector<Triplet> t;
   t.reserve(static_cast<std::size_t>(n) *
-            (static_cast<std::size_t>(degree) + 1));
-  const int half_degree = std::max(1, degree / 2);
+            (4 * static_cast<std::size_t>(half_degree) + 1));
   for (std::int64_t r = 0; r < n; ++r) {
     for (int k = 0; k < half_degree; ++k) {
       const std::int64_t c = r + offset(rng);

@@ -326,6 +326,54 @@ TEST_F(CompiledPlanTest, ReusedEngineMatchesFreshEnginePerRep) {
   }
 }
 
+TEST(WidePhaseSchedule, ReusedEngineAndStaleHintMatchFreshEngines) {
+  // A phase of 2,560 messages with jitter large enough to reorder its ready
+  // times between repetitions: the warm-start schedule sort exceeds its
+  // shift budget and finishes with a comparison sort.  A reused engine over
+  // many repetitions, and one whose cached order is a stale hint of the
+  // same size from another plan, must both equal a fresh engine (which
+  // always sorts cold) rep for rep.
+  const Topology topo{presets::lassen(16)};
+  const ParamSet params = lassen_params();
+  const StrategyConfig staged{StrategyKind::Standard, MemSpace::Host};
+  const CommPlan plan_a =
+      build_plan(random_pattern(topo, 40, 4096, 7), topo, params, staged);
+  const CommPlan plan_b =
+      build_plan(random_pattern(topo, 40, 4096, 8), topo, params, staged);
+  const CompiledPlan a(plan_a, topo, params);
+  const CompiledPlan b(plan_b, topo, params);
+  ASSERT_EQ(a.phases().size(), b.phases().size());
+  std::size_t widest = 0;
+  for (std::size_t p = 0; p < a.phases().size(); ++p) {
+    ASSERT_EQ(a.phases()[p].messages.size(), b.phases()[p].messages.size());
+    widest = std::max(widest, a.phases()[p].messages.size());
+  }
+  ASSERT_GE(widest, 2000u);
+
+  constexpr double kSigma = 0.2;
+  const auto fresh_clocks = [&](const CompiledPlan& plan, std::uint64_t rep) {
+    Engine fresh(topo, params, NoiseModel(0, kSigma));
+    fresh.reset(mix_seed(0x5eed, rep));
+    fresh.execute(plan);
+    return fresh.clocks();
+  };
+  Engine reused(topo, params, NoiseModel(0, kSigma));
+  for (std::uint64_t rep = 0; rep < 24; ++rep) {
+    SCOPED_TRACE("rep " + std::to_string(rep));
+    reused.reset(mix_seed(0x5eed, rep));
+    reused.execute(a);
+    EXPECT_EQ(reused.clocks(), fresh_clocks(a, rep));
+  }
+  for (std::uint64_t rep = 0; rep < 8; ++rep) {
+    SCOPED_TRACE("stale hint, rep " + std::to_string(rep));
+    reused.reset(mix_seed(0xb, rep));
+    reused.execute(b);  // leaves b's schedule orders in the cache
+    reused.reset(mix_seed(0x5eed, rep));
+    reused.execute(a);
+    EXPECT_EQ(reused.clocks(), fresh_clocks(a, rep));
+  }
+}
+
 TEST_F(CompiledPlanTest, MatchingIsIdentityAndCountersPrecomputed) {
   // White-box: run_plan posts each send with its matching receive, so FIFO
   // matching degenerates to the identity permutation, and the phase network

@@ -33,6 +33,26 @@ TEST(CsrMatrix, DuplicatesAreSummed) {
   EXPECT_DOUBLE_EQ(m.values()[0], 3.5);
 }
 
+TEST(CsrMatrix, DuplicateHeavyTripletsReserveExactly) {
+  // Every (row, col) pair appears four times, in scrambled order: the
+  // matrix keeps exactly nnz entries of capacity, not the triplet count.
+  std::vector<Triplet> t;
+  for (int copy = 0; copy < 4; ++copy) {
+    for (std::int64_t i = 0; i < 40; ++i) {
+      const std::int64_t r = (i * 13 + copy * 7) % 40;  // scrambled rows
+      for (std::int64_t c = r % 3; c < 40; c += 3) t.push_back({r, c, 1.0});
+    }
+  }
+  for (const bool with_values : {true, false}) {
+    const CsrMatrix m = CsrMatrix::from_triplets(40, 40, t, with_values);
+    ASSERT_EQ(m.nnz() * 4, static_cast<std::int64_t>(t.size()));
+    EXPECT_EQ(m.col_idx().capacity(), static_cast<std::size_t>(m.nnz()));
+    EXPECT_EQ(m.values().capacity(),
+              with_values ? static_cast<std::size_t>(m.nnz()) : 0u);
+    EXPECT_NO_THROW(m.validate());
+  }
+}
+
 TEST(CsrMatrix, PatternOnlyDiscardsValues) {
   const CsrMatrix m =
       CsrMatrix::from_triplets(2, 2, {{0, 1, 5.0}}, /*with_values=*/false);
