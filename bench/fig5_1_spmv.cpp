@@ -50,9 +50,19 @@ int main(int argc, char** argv) {
   int split_md_wins = 0;
   int total_points = 0;
 
-  for (const sparse::MatrixProfile& profile : sparse::figure51_profiles()) {
-    const sparse::CsrMatrix matrix =
-        sparse::generate_standin(profile, scale, 11);
+  // Stage 0: the six stand-ins, generated across the sweep pool.
+  const std::vector<sparse::MatrixProfile>& profiles =
+      sparse::figure51_profiles();
+  const std::vector<sparse::CsrMatrix> matrices = runtime::sweep(
+      profiles,
+      [&](const sparse::MatrixProfile& profile) {
+        return sparse::generate_standin(profile, scale, 11);
+      },
+      opts.sweep_options());
+
+  for (std::size_t mi = 0; mi < profiles.size(); ++mi) {
+    const sparse::MatrixProfile& profile = profiles[mi];
+    const sparse::CsrMatrix& matrix = matrices[mi];
 
     std::vector<std::string> headers{"strategy"};
     std::vector<int> gpu_counts = profile.gpu_counts;

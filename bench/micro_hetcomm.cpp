@@ -60,6 +60,21 @@ void BM_SpmvPatternExtraction(benchmark::State& state) {
 }
 BENCHMARK(BM_SpmvPatternExtraction)->Arg(10000)->Arg(100000);
 
+// The six Fig. 5.1 stand-ins at the fig5_1 scale (0.015, seed 11), built
+// in turn: the row-bucket assembly end to end.  Items are nonzeros built.
+void BM_GenerateStandins(benchmark::State& state) {
+  std::int64_t nnz = 0;
+  for (auto _ : state) {
+    for (const sparse::MatrixProfile& p : sparse::figure51_profiles()) {
+      const sparse::CsrMatrix m = sparse::generate_standin(p, 0.015, 11);
+      nnz += m.nnz();
+      benchmark::DoNotOptimize(m.col_idx().data());
+    }
+  }
+  state.SetItemsProcessed(nnz);
+}
+BENCHMARK(BM_GenerateStandins)->Unit(benchmark::kMillisecond);
+
 void BM_PlanConstruction(benchmark::State& state) {
   const machine::MachineModel mach = machine::lassen_machine();
   const Topology topo = mach.topology(8);

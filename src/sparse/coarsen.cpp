@@ -33,23 +33,24 @@ CsrMatrix coarsen(const CsrMatrix& a, const Aggregation& agg) {
   if (static_cast<std::int64_t>(agg.aggregate_of.size()) != a.rows()) {
     throw std::invalid_argument("coarsen: aggregation size mismatch");
   }
-  std::vector<Triplet> t;
-  t.reserve(static_cast<std::size_t>(a.nnz()));
   const auto& rp = a.row_ptr();
   const auto& ci = a.col_idx();
   const bool hv = a.has_values();
-  for (std::int64_t r = 0; r < a.rows(); ++r) {
-    const std::int64_t cr = agg.aggregate_of[static_cast<std::size_t>(r)];
-    for (std::int64_t k = rp[static_cast<std::size_t>(r)];
-         k < rp[static_cast<std::size_t>(r) + 1]; ++k) {
-      const std::int64_t cc =
-          agg.aggregate_of[static_cast<std::size_t>(
-              ci[static_cast<std::size_t>(k)])];
-      t.push_back({cr, cc, hv ? a.values()[static_cast<std::size_t>(k)] : 1.0});
-    }
-  }
-  return CsrMatrix::from_triplets(agg.num_aggregates, agg.num_aggregates,
-                                  std::move(t), hv);
+  const auto& of = agg.aggregate_of;
+  return CsrMatrix::assemble(
+      agg.num_aggregates, agg.num_aggregates,
+      [&](const auto& entry) {
+        for (std::int64_t r = 0; r < a.rows(); ++r) {
+          const std::int64_t cr = of[static_cast<std::size_t>(r)];
+          for (std::int64_t k = rp[static_cast<std::size_t>(r)];
+               k < rp[static_cast<std::size_t>(r) + 1]; ++k) {
+            const auto i = static_cast<std::size_t>(k);
+            entry(cr, of[static_cast<std::size_t>(ci[i])],
+                  hv ? a.values()[i] : 1.0);
+          }
+        }
+      },
+      hv);
 }
 
 Hierarchy build_hierarchy(const CsrMatrix& fine, std::int64_t min_rows,

@@ -7,58 +7,91 @@
 
 namespace hetcomm::sparse {
 
-CsrMatrix CsrMatrix::from_triplets(std::int64_t rows, std::int64_t cols,
-                                   std::vector<Triplet> triplets,
-                                   bool with_values) {
+CsrMatrix::CsrMatrix(std::int64_t rows, std::int64_t cols)
+    : rows_(rows), cols_(cols) {
   if (rows < 0 || cols < 0) {
     throw std::invalid_argument("CsrMatrix: negative dimensions");
   }
-  for (const Triplet& t : triplets) {
-    if (t.row < 0 || t.row >= rows || t.col < 0 || t.col >= cols) {
-      throw std::out_of_range("CsrMatrix: triplet (" + std::to_string(t.row) +
-                              "," + std::to_string(t.col) + ") out of range");
-    }
-  }
-  std::sort(triplets.begin(), triplets.end(),
-            [](const Triplet& a, const Triplet& b) {
-              if (a.row != b.row) return a.row < b.row;
-              return a.col < b.col;
-            });
+  row_ptr_.assign(static_cast<std::size_t>(rows) + 1, 0);
+}
 
-  CsrMatrix m;
-  m.rows_ = rows;
-  m.cols_ = cols;
-  m.row_ptr_.assign(static_cast<std::size_t>(rows) + 1, 0);
-  // Reserve the exact entry count: triplets may repeat a (row, col) pair,
-  // and the matrix keeps this capacity for its lifetime.
-  std::size_t distinct = 0;
-  for (std::size_t i = 0; i < triplets.size(); ++i) {
-    if (i == 0 || triplets[i].row != triplets[i - 1].row ||
-        triplets[i].col != triplets[i - 1].col) {
-      ++distinct;
-    }
-  }
-  m.col_idx_.reserve(distinct);
-  if (with_values) m.values_.reserve(distinct);
+void CsrMatrix::throw_out_of_range(std::int64_t row, std::int64_t col) {
+  throw std::out_of_range("CsrMatrix: entry (" + std::to_string(row) + "," +
+                          std::to_string(col) + ") out of range");
+}
 
-  for (std::size_t i = 0; i < triplets.size();) {
-    const std::int64_t r = triplets[i].row;
-    const std::int64_t c = triplets[i].col;
-    double v = 0.0;
-    std::size_t j = i;
-    for (; j < triplets.size() && triplets[j].row == r && triplets[j].col == c;
-         ++j) {
-      v += triplets[j].value;  // duplicates sum
+std::int64_t CsrMatrix::offsets_from_counts() {
+  for (std::size_t r = 1; r < row_ptr_.size(); ++r) {
+    if (__builtin_add_overflow(row_ptr_[r], row_ptr_[r - 1], &row_ptr_[r])) {
+      throw std::invalid_argument("CsrMatrix: entry count overflows");
     }
-    m.col_idx_.push_back(c);
-    if (with_values) m.values_.push_back(v);
-    ++m.row_ptr_[static_cast<std::size_t>(r) + 1];
-    i = j;
   }
-  for (std::size_t r = 0; r < static_cast<std::size_t>(rows); ++r) {
-    m.row_ptr_[r + 1] += m.row_ptr_[r];
+  return row_ptr_.back();
+}
+
+void CsrMatrix::merge_buckets(std::vector<std::int64_t> cols,
+                              std::vector<double> values) {
+  const bool with_values = !values.empty();
+  std::vector<std::pair<std::int64_t, double>> row;  // one bucket, with values
+  std::size_t out = 0;
+  std::size_t begin = 0;
+  for (std::size_t r = 0; r < static_cast<std::size_t>(rows_); ++r) {
+    const auto end = static_cast<std::size_t>(row_ptr_[r + 1]);
+    const std::size_t first = out;
+    if (with_values) {
+      // Stable, so duplicates sum in emission order.
+      row.clear();
+      for (std::size_t k = begin; k < end; ++k) {
+        row.emplace_back(cols[k], values[k]);
+      }
+      std::stable_sort(row.begin(), row.end(),
+                       [](const auto& a, const auto& b) {
+                         return a.first < b.first;
+                       });
+      for (const auto& [c, v] : row) {
+        if (out > first && cols[out - 1] == c) {
+          values[out - 1] += v;
+        } else {
+          cols[out] = c;
+          values[out] = v;
+          ++out;
+        }
+      }
+    } else {
+      std::sort(cols.begin() + static_cast<std::ptrdiff_t>(begin),
+                cols.begin() + static_cast<std::ptrdiff_t>(end));
+      for (std::size_t k = begin; k < end; ++k) {
+        if (out == first || cols[out - 1] != cols[k]) cols[out++] = cols[k];
+      }
+    }
+    row_ptr_[r + 1] = static_cast<std::int64_t>(out);
+    begin = end;
   }
-  return m;
+  // Keep exactly nnz capacity: the matrix holds it for its lifetime.
+  if (out == cols.size()) {
+    col_idx_ = std::move(cols);
+    values_ = std::move(values);
+    return;
+  }
+  col_idx_.reserve(out);
+  col_idx_.assign(cols.begin(),
+                  cols.begin() + static_cast<std::ptrdiff_t>(out));
+  if (with_values) {
+    values_.reserve(out);
+    values_.assign(values.begin(),
+                   values.begin() + static_cast<std::ptrdiff_t>(out));
+  }
+}
+
+CsrMatrix CsrMatrix::from_triplets(std::int64_t rows, std::int64_t cols,
+                                   const std::vector<Triplet>& triplets,
+                                   bool with_values) {
+  return assemble(
+      rows, cols,
+      [&triplets](const auto& entry) {
+        for (const Triplet& t : triplets) entry(t.row, t.col, t.value);
+      },
+      with_values);
 }
 
 std::int64_t CsrMatrix::row_nnz(std::int64_t row) const {

@@ -3,68 +3,148 @@
 #include <algorithm>
 #include <random>
 #include <stdexcept>
+#include <string>
 
 namespace hetcomm::sparse {
 
 namespace {
 
-std::vector<Triplet> to_triplets(const CsrMatrix& m) {
-  std::vector<Triplet> out;
-  out.reserve(static_cast<std::size_t>(m.nnz()));
-  const auto& rp = m.row_ptr();
-  const auto& ci = m.col_idx();
-  const bool hv = m.has_values();
-  for (std::int64_t r = 0; r < m.rows(); ++r) {
-    for (std::int64_t k = rp[static_cast<std::size_t>(r)];
-         k < rp[static_cast<std::size_t>(r) + 1]; ++k) {
-      const double v = hv ? m.values()[static_cast<std::size_t>(k)] : 1.0;
-      out.push_back({r, ci[static_cast<std::size_t>(k)], v});
+constexpr double kBandWeight = 1.0;
+constexpr double kFarWeight = 0.1;  // arrow and long-range couplings
+
+/// `entries` plus `rows * per_row` couplings of `per_coupling` entries each;
+/// std::invalid_argument naming `who` when the sum leaves int64.
+std::int64_t plus_couplings(const char* who, std::int64_t entries,
+                            std::int64_t rows, std::int64_t per_row,
+                            std::int64_t per_coupling) {
+  std::int64_t couplings = 0;
+  if (__builtin_mul_overflow(rows, per_row, &couplings) ||
+      __builtin_mul_overflow(couplings, per_coupling, &couplings) ||
+      __builtin_add_overflow(entries, couplings, &entries)) {
+    throw std::invalid_argument(std::string(who) + ": entry count overflows");
+  }
+  return entries;
+}
+
+void check_band(const char* who, std::int64_t n, std::int64_t half_band,
+                int degree) {
+  if (n <= 0) {
+    throw std::invalid_argument(std::string(who) + ": n must be positive");
+  }
+  if (half_band < 1 || degree < 0) {
+    throw std::invalid_argument(std::string(who) + ": bad band/degree");
+  }
+}
+
+void check_arrow(const char* who, std::int64_t n, std::int64_t head,
+                 int arrow_degree) {
+  if (head < 0 || head > n || arrow_degree < 0) {
+    throw std::invalid_argument(std::string(who) + ": bad head/degree");
+  }
+}
+
+void check_long_range(const char* who, int per_row, double row_fraction) {
+  if (per_row < 0 || row_fraction < 0.0 || row_fraction > 1.0) {
+    throw std::invalid_argument(std::string(who) + ": bad parameters");
+  }
+}
+
+// Seeded coupling streams.  Each calls edge(r, c, weight), r != c, once per
+// coupling it draws; re-running one from the same seed replays the same
+// couplings in the same order.
+
+/// `half_degree` draws per row, each to a row up to `half_band` below it.
+template <class Edge>
+void band_couplings(std::int64_t n, std::int64_t half_band, int half_degree,
+                    std::uint64_t seed, const Edge& edge) {
+  std::mt19937_64 rng(seed);
+  std::uniform_int_distribution<std::int64_t> offset(1, half_band);
+  for (std::int64_t r = 0; r < n; ++r) {
+    for (int k = 0; k < half_degree; ++k) {
+      const std::int64_t c = r + offset(rng);
+      if (c < n) edge(r, c, kBandWeight);
     }
   }
-  return out;
 }
 
-/// Reinforce the diagonal entries of both endpoints of a coupling so the
-/// assembled matrix stays strictly diagonally dominant no matter how many
-/// couplings accumulate on a row (duplicate triplets sum on assembly).
-void reinforce_edge(std::vector<Triplet>& t, std::int64_t r, std::int64_t c,
-                    double weight) {
-  t.push_back({r, c, -weight});
-  t.push_back({c, r, -weight});
-  t.push_back({r, r, weight});
-  t.push_back({c, c, weight});
+/// `arrow_degree` draws anywhere in the matrix for each of the first `head`
+/// rows.
+template <class Edge>
+void arrow_couplings(std::int64_t n, std::int64_t head, int arrow_degree,
+                     std::uint64_t seed, const Edge& edge) {
+  std::mt19937_64 rng(seed);
+  std::uniform_int_distribution<std::int64_t> col(0, n - 1);
+  for (std::int64_t r = 0; r < head; ++r) {
+    for (int k = 0; k < arrow_degree; ++k) {
+      const std::int64_t c = col(rng);
+      if (c != r) edge(r, c, kFarWeight);
+    }
+  }
 }
 
-/// Base diagonal so empty rows stay nonsingular.
-void add_base_diagonal(std::vector<Triplet>& t, std::int64_t n) {
-  for (std::int64_t r = 0; r < n; ++r) t.push_back({r, r, 1.0});
+/// `per_row` draws anywhere in the matrix for a `row_fraction` coin-flipped
+/// share of rows.
+template <class Edge>
+void long_range_couplings(std::int64_t n, int per_row, double row_fraction,
+                          std::uint64_t seed, const Edge& edge) {
+  std::mt19937_64 rng(seed);
+  std::uniform_int_distribution<std::int64_t> col(0, n - 1);
+  std::uniform_real_distribution<double> coin(0.0, 1.0);
+  for (std::int64_t r = 0; r < n; ++r) {
+    if (coin(rng) >= row_fraction) continue;
+    for (int k = 0; k < per_row; ++k) {
+      const std::int64_t c = col(rng);
+      if (c != r) edge(r, c, kFarWeight);
+    }
+  }
+}
+
+/// Assemble `base`'s entries (when given), every coupling `couplings(edge)`
+/// draws and a unit diagonal.  A coupling is its two mirrored entries; with
+/// values they weigh -weight and the coupling also adds weight to both
+/// endpoints' diagonals, so the matrix stays strictly diagonally dominant
+/// however many couplings a row accumulates.
+template <class Couplings>
+CsrMatrix assemble_symmetric(std::int64_t n, const CsrMatrix* base,
+                             bool with_values, const Couplings& couplings) {
+  return CsrMatrix::assemble(
+      n, n,
+      [&](const auto& entry) {
+        if (base != nullptr) {
+          const auto& rp = base->row_ptr();
+          const auto& ci = base->col_idx();
+          const bool hv = base->has_values();
+          for (std::int64_t r = 0; r < n; ++r) {
+            for (std::int64_t k = rp[static_cast<std::size_t>(r)];
+                 k < rp[static_cast<std::size_t>(r) + 1]; ++k) {
+              const auto i = static_cast<std::size_t>(k);
+              entry(r, ci[i], hv ? base->values()[i] : 1.0);
+            }
+          }
+        }
+        couplings([&](std::int64_t r, std::int64_t c, double weight) {
+          entry(r, c, -weight);
+          entry(c, r, -weight);
+          if (with_values) {
+            entry(r, r, weight);
+            entry(c, c, weight);
+          }
+        });
+        for (std::int64_t r = 0; r < n; ++r) entry(r, r, 1.0);
+      },
+      with_values);
 }
 
 }  // namespace
 
 CsrMatrix banded_fem(std::int64_t n, std::int64_t half_band, int degree,
                      std::uint64_t seed, bool with_values) {
-  if (n <= 0) throw std::invalid_argument("banded_fem: n must be positive");
-  if (half_band < 1 || degree < 0) {
-    throw std::invalid_argument("banded_fem: bad band/degree");
-  }
-  std::mt19937_64 rng(seed);
-  std::uniform_int_distribution<std::int64_t> offset(1, half_band);
-
+  check_band("banded_fem", n, half_band, degree);
   const int half_degree = std::max(1, degree / 2);
-  // Each coupling pushes four triplets, plus one base diagonal per row.
-  std::vector<Triplet> t;
-  t.reserve(static_cast<std::size_t>(n) *
-            (4 * static_cast<std::size_t>(half_degree) + 1));
-  for (std::int64_t r = 0; r < n; ++r) {
-    for (int k = 0; k < half_degree; ++k) {
-      const std::int64_t c = r + offset(rng);
-      if (c >= n) continue;
-      reinforce_edge(t, r, c, 1.0);
-    }
-  }
-  add_base_diagonal(t, n);
-  return CsrMatrix::from_triplets(n, n, std::move(t), with_values);
+  (void)plus_couplings("banded_fem", n, n, half_degree, with_values ? 4 : 2);
+  return assemble_symmetric(n, nullptr, with_values, [&](const auto& edge) {
+    band_couplings(n, half_band, half_degree, seed, edge);
+  });
 }
 
 CsrMatrix mesh_laplacian_2d(std::int64_t nx, std::int64_t ny,
@@ -72,25 +152,31 @@ CsrMatrix mesh_laplacian_2d(std::int64_t nx, std::int64_t ny,
   if (nx <= 0 || ny <= 0) {
     throw std::invalid_argument("mesh_laplacian_2d: bad grid");
   }
-  const std::int64_t n = nx * ny;
-  std::vector<Triplet> t;
-  t.reserve(static_cast<std::size_t>(n) * 5);
-  auto id = [nx](std::int64_t i, std::int64_t j) { return j * nx + i; };
-  for (std::int64_t j = 0; j < ny; ++j) {
-    for (std::int64_t i = 0; i < nx; ++i) {
-      const std::int64_t r = id(i, j);
-      t.push_back({r, r, 4.0});
-      if (i + 1 < nx) {
-        t.push_back({r, id(i + 1, j), -1.0});
-        t.push_back({id(i + 1, j), r, -1.0});
-      }
-      if (j + 1 < ny) {
-        t.push_back({r, id(i, j + 1), -1.0});
-        t.push_back({id(i, j + 1), r, -1.0});
-      }
-    }
+  std::int64_t n = 0;
+  if (__builtin_mul_overflow(nx, ny, &n)) {
+    throw std::invalid_argument("mesh_laplacian_2d: entry count overflows");
   }
-  return CsrMatrix::from_triplets(n, n, std::move(t), with_values);
+  (void)plus_couplings("mesh_laplacian_2d", n, n, 2, 2);
+  auto id = [nx](std::int64_t i, std::int64_t j) { return j * nx + i; };
+  return CsrMatrix::assemble(
+      n, n,
+      [&](const auto& entry) {
+        for (std::int64_t j = 0; j < ny; ++j) {
+          for (std::int64_t i = 0; i < nx; ++i) {
+            const std::int64_t r = id(i, j);
+            entry(r, r, 4.0);
+            if (i + 1 < nx) {
+              entry(r, id(i + 1, j), -1.0);
+              entry(id(i + 1, j), r, -1.0);
+            }
+            if (j + 1 < ny) {
+              entry(r, id(i, j + 1), -1.0);
+              entry(id(i, j + 1), r, -1.0);
+            }
+          }
+        }
+      },
+      with_values);
 }
 
 CsrMatrix with_arrow(const CsrMatrix& base, std::int64_t head,
@@ -98,22 +184,14 @@ CsrMatrix with_arrow(const CsrMatrix& base, std::int64_t head,
   if (base.rows() != base.cols()) {
     throw std::invalid_argument("with_arrow: matrix must be square");
   }
-  if (head < 0 || head > base.rows() || arrow_degree < 0) {
-    throw std::invalid_argument("with_arrow: bad head/degree");
-  }
-  std::mt19937_64 rng(seed);
-  std::uniform_int_distribution<std::int64_t> col(0, base.cols() - 1);
-  std::vector<Triplet> t = to_triplets(base);
-  for (std::int64_t r = 0; r < head; ++r) {
-    for (int k = 0; k < arrow_degree; ++k) {
-      const std::int64_t c = col(rng);
-      if (c == r) continue;
-      reinforce_edge(t, r, c, 0.1);
-    }
-  }
-  add_base_diagonal(t, base.rows());
-  return CsrMatrix::from_triplets(base.rows(), base.cols(), std::move(t),
-                                  base.has_values());
+  const std::int64_t n = base.rows();
+  check_arrow("with_arrow", n, head, arrow_degree);
+  const bool hv = base.has_values();
+  (void)plus_couplings("with_arrow", n + base.nnz(), head, arrow_degree,
+                       hv ? 4 : 2);
+  return assemble_symmetric(n, &base, hv, [&](const auto& edge) {
+    arrow_couplings(n, head, arrow_degree, seed, edge);
+  });
 }
 
 CsrMatrix with_long_range(const CsrMatrix& base, int per_row,
@@ -121,24 +199,40 @@ CsrMatrix with_long_range(const CsrMatrix& base, int per_row,
   if (base.rows() != base.cols()) {
     throw std::invalid_argument("with_long_range: matrix must be square");
   }
-  if (per_row < 0 || row_fraction < 0.0 || row_fraction > 1.0) {
-    throw std::invalid_argument("with_long_range: bad parameters");
-  }
-  std::mt19937_64 rng(seed);
-  std::uniform_int_distribution<std::int64_t> col(0, base.cols() - 1);
-  std::uniform_real_distribution<double> coin(0.0, 1.0);
-  std::vector<Triplet> t = to_triplets(base);
-  for (std::int64_t r = 0; r < base.rows(); ++r) {
-    if (coin(rng) >= row_fraction) continue;
-    for (int k = 0; k < per_row; ++k) {
-      const std::int64_t c = col(rng);
-      if (c == r) continue;
-      reinforce_edge(t, r, c, 0.1);
+  check_long_range("with_long_range", per_row, row_fraction);
+  const std::int64_t n = base.rows();
+  const bool hv = base.has_values();
+  (void)plus_couplings("with_long_range", n + base.nnz(), n, per_row,
+                       hv ? 4 : 2);
+  return assemble_symmetric(n, &base, hv, [&](const auto& edge) {
+    long_range_couplings(n, per_row, row_fraction, seed, edge);
+  });
+}
+
+CsrMatrix coupling_pattern(const CouplingLayers& layers, std::uint64_t seed) {
+  const std::int64_t n = layers.n;
+  check_band("coupling_pattern", n, layers.half_band, layers.degree);
+  check_arrow("coupling_pattern", n, layers.arrow_head, layers.arrow_degree);
+  check_long_range("coupling_pattern", layers.long_range_per_row,
+                   layers.long_range_fraction);
+  const int half_degree = std::max(1, layers.degree / 2);
+  std::int64_t entries =
+      plus_couplings("coupling_pattern", n, n, half_degree, 2);
+  entries = plus_couplings("coupling_pattern", entries, layers.arrow_head,
+                           layers.arrow_degree, 2);
+  (void)plus_couplings("coupling_pattern", entries, n,
+                       layers.long_range_per_row, 2);
+  return assemble_symmetric(n, nullptr, false, [&](const auto& edge) {
+    band_couplings(n, layers.half_band, half_degree, seed, edge);
+    if (layers.arrow_head > 0 && layers.arrow_degree > 0) {
+      arrow_couplings(n, layers.arrow_head, layers.arrow_degree, seed + 1,
+                      edge);
     }
-  }
-  add_base_diagonal(t, base.rows());
-  return CsrMatrix::from_triplets(base.rows(), base.cols(), std::move(t),
-                                  base.has_values());
+    if (layers.long_range_per_row > 0) {
+      long_range_couplings(n, layers.long_range_per_row,
+                           layers.long_range_fraction, seed + 2, edge);
+    }
+  });
 }
 
 }  // namespace hetcomm::sparse

@@ -6,6 +6,12 @@
 // test matrices (FEM band structure, dense arrow heads, scattered
 // long-range couplings).  Values, when requested, make the matrix strictly
 // diagonally dominant so SpMV results are well-behaved.
+//
+// Each coupling family is a seeded stream that draws couplings (r, c) in a
+// fixed order; every generator feeds its streams straight into the
+// row-bucket assembly (CsrMatrix::assemble), which replays them twice.  A
+// matrix whose entry count cannot be represented throws
+// std::invalid_argument before anything is allocated or drawn.
 
 #include <cstdint>
 
@@ -34,5 +40,24 @@ namespace hetcomm::sparse {
 [[nodiscard]] CsrMatrix with_long_range(const CsrMatrix& base, int per_row,
                                         double row_fraction,
                                         std::uint64_t seed);
+
+/// The banded -> arrow -> long-range composition the SuiteSparse stand-ins
+/// use.  `arrow_head` 0 or `arrow_degree` 0 drops the arrow layer;
+/// `long_range_per_row` 0 drops the long-range layer.
+struct CouplingLayers {
+  std::int64_t n = 0;
+  std::int64_t half_band = 1;
+  int degree = 0;
+  std::int64_t arrow_head = 0;
+  int arrow_degree = 0;
+  int long_range_per_row = 0;
+  double long_range_fraction = 0.0;
+};
+
+/// Pattern-only matrix of every layer, drawn from seeds `seed` (band),
+/// `seed + 1` (arrow) and `seed + 2` (long range): the pattern of
+/// with_long_range(with_arrow(banded_fem(...))), built in one assembly.
+[[nodiscard]] CsrMatrix coupling_pattern(const CouplingLayers& layers,
+                                         std::uint64_t seed);
 
 }  // namespace hetcomm::sparse

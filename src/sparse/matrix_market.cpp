@@ -52,12 +52,20 @@ CsrMatrix read_matrix_market(std::istream& in) {
     }
     break;
   }
-  if (rows <= 0 || cols <= 0 || entries < 0) {
+  // A size line claiming more entries than the matrix has positions is
+  // corrupt or hostile.
+  std::int64_t cells = 0;
+  if (rows <= 0 || cols <= 0 || entries < 0 ||
+      (!__builtin_mul_overflow(rows, cols, &cells) && entries > cells)) {
     throw std::runtime_error("matrix market: invalid dimensions");
   }
 
+  // The size line is untrusted until the entries arrive: reserve at most a
+  // fixed chunk up front and let the vector grow past it.
+  constexpr std::int64_t kReserveChunk = std::int64_t{1} << 16;
   std::vector<Triplet> triplets;
-  triplets.reserve(static_cast<std::size_t>(symmetric ? 2 * entries : entries));
+  triplets.reserve(static_cast<std::size_t>(std::min(entries, kReserveChunk)) *
+                   (symmetric ? 2 : 1));
   std::int64_t seen = 0;
   while (seen < entries && std::getline(in, line)) {
     if (line.empty() || line[0] == '%') continue;

@@ -47,18 +47,16 @@ CsrMatrix generate_standin(const MatrixProfile& profile, double scale,
       1, static_cast<std::int64_t>(
              std::llround(profile.band_fraction * static_cast<double>(n))));
 
-  CsrMatrix m = banded_fem(n, half_band, degree, seed, /*with_values=*/false);
+  CouplingLayers layers{.n = n, .half_band = half_band, .degree = degree};
   if (profile.arrow_head > 0 && profile.arrow_degree > 0) {
-    const std::int64_t head = std::max<std::int64_t>(
+    layers.arrow_head = std::max<std::int64_t>(
         1, static_cast<std::int64_t>(std::llround(
                static_cast<double>(profile.arrow_head) * scale)));
-    m = with_arrow(m, head, profile.arrow_degree, seed + 1);
+    layers.arrow_degree = profile.arrow_degree;
   }
-  if (profile.long_range_per_row > 0) {
-    m = with_long_range(m, profile.long_range_per_row,
-                        profile.long_range_fraction, seed + 2);
-  }
-  return m;
+  layers.long_range_per_row = profile.long_range_per_row;
+  layers.long_range_fraction = profile.long_range_fraction;
+  return coupling_pattern(layers, seed);
 }
 
 }  // namespace hetcomm::sparse

@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
+#include <random>
+#include <utility>
+
 namespace hetcomm::sparse {
 namespace {
 
@@ -51,6 +55,99 @@ TEST(CsrMatrix, DuplicateHeavyTripletsReserveExactly) {
               with_values ? static_cast<std::size_t>(m.nnz()) : 0u);
     EXPECT_NO_THROW(m.validate());
   }
+}
+
+TEST(CsrMatrix, FromTripletsMatchesMapReference) {
+  // Random triplets with heavy duplicates against an ordered-map reference
+  // that sums each position's values in input order: rows with no entries
+  // at the start, middle and end; the capacity is exactly nnz.
+  std::mt19937_64 rng(2024);
+  for (int trial = 0; trial < 40; ++trial) {
+    const std::int64_t rows =
+        trial == 0 ? 0 : 1 + static_cast<std::int64_t>(rng() % 60);
+    const std::int64_t cols = 1 + static_cast<std::int64_t>(rng() % 50);
+    std::vector<Triplet> t;
+    if (rows > 0) {
+      const std::int64_t empty_mid = rows / 2;
+      const auto count = static_cast<int>(rng() % 400);
+      for (int i = 0; i < count; ++i) {
+        const std::int64_t r = static_cast<std::int64_t>(rng() % rows);
+        if (rows > 2 && (r == 0 || r == empty_mid || r == rows - 1)) continue;
+        // Few distinct columns per row: most positions repeat.
+        const std::int64_t c = static_cast<std::int64_t>(rng() % 4) * cols / 4;
+        const double v = static_cast<double>(rng() % 1000) / 7.0 - 70.0;
+        t.push_back({r, c, v});
+      }
+    }
+    std::map<std::pair<std::int64_t, std::int64_t>, double> ref;
+    for (const Triplet& e : t) ref[{e.row, e.col}] += e.value;
+
+    for (const bool with_values : {true, false}) {
+      const CsrMatrix m = CsrMatrix::from_triplets(rows, cols, t, with_values);
+      ASSERT_NO_THROW(m.validate());
+      ASSERT_EQ(m.rows(), rows);
+      ASSERT_EQ(m.nnz(), static_cast<std::int64_t>(ref.size()));
+      EXPECT_EQ(m.col_idx().capacity(), ref.size());
+      EXPECT_EQ(m.has_values(), with_values && !ref.empty());
+      std::vector<std::int64_t> row_ptr{0};
+      std::vector<std::int64_t> col_idx;
+      std::vector<double> values;
+      for (const auto& [pos, v] : ref) {
+        while (static_cast<std::int64_t>(row_ptr.size()) <= pos.first) {
+          row_ptr.push_back(static_cast<std::int64_t>(col_idx.size()));
+        }
+        col_idx.push_back(pos.second);
+        values.push_back(v);
+      }
+      while (static_cast<std::int64_t>(row_ptr.size()) <= rows) {
+        row_ptr.push_back(static_cast<std::int64_t>(col_idx.size()));
+      }
+      EXPECT_EQ(m.row_ptr(), row_ptr) << "trial " << trial;
+      EXPECT_EQ(m.col_idx(), col_idx) << "trial " << trial;
+      if (m.has_values()) {
+        EXPECT_EQ(m.values(), values) << "trial " << trial;  // exact sums
+        EXPECT_EQ(m.values().capacity(), ref.size());
+      }
+      if (rows > 2) {
+        EXPECT_EQ(m.row_nnz(0), 0);
+        EXPECT_EQ(m.row_nnz(rows / 2), 0);
+        EXPECT_EQ(m.row_nnz(rows - 1), 0);
+      }
+    }
+    if (rows > 0) {
+      std::vector<Triplet> bad = t;
+      bad.insert(bad.begin() + static_cast<std::ptrdiff_t>(bad.size() / 2),
+                 Triplet{rows, 0, 1.0});
+      EXPECT_THROW((void)CsrMatrix::from_triplets(rows, cols, bad),
+                   std::out_of_range);
+      bad = t;
+      bad.push_back({0, cols, 1.0});
+      EXPECT_THROW((void)CsrMatrix::from_triplets(rows, cols, bad, false),
+                   std::out_of_range);
+    }
+  }
+}
+
+TEST(CsrMatrix, AssembleRejectsAStreamThatDoesNotReplay) {
+  // The entry stream runs twice; a second run that differs from the first
+  // must not write outside the row buckets the first one sized.
+  int calls = 0;
+  EXPECT_THROW((void)CsrMatrix::assemble(
+                   3, 3,
+                   [&calls](const auto& entry) {
+                     entry(0, 0, 1.0);
+                     if (calls++ > 0) entry(0, 1, 1.0);
+                   },
+                   false),
+               std::logic_error);
+  calls = 0;
+  EXPECT_THROW((void)CsrMatrix::assemble(
+                   3, 3,
+                   [&calls](const auto& entry) {
+                     if (calls++ == 0) entry(2, 2, 1.0);
+                   },
+                   true),
+               std::logic_error);
 }
 
 TEST(CsrMatrix, PatternOnlyDiscardsValues) {

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <limits>
+
 namespace hetcomm::sparse {
 namespace {
 
@@ -52,6 +55,52 @@ TEST(BandedFem, RejectsBadArguments) {
   EXPECT_THROW((void)banded_fem(10, 2, -1, 1), std::invalid_argument);
 }
 
+TEST(BandedFem, RejectsUnrepresentableEntryCount) {
+  // n * (4 * 2^29 + 1) entries cannot be counted in int64: the generator
+  // must say so before it allocates row counts or draws a single coupling
+  // (either would exhaust memory or time long before an answer).
+  constexpr std::int64_t kHuge = std::numeric_limits<std::int64_t>::max() / 4;
+  EXPECT_THROW((void)banded_fem(kHuge, 1, 1 << 30, 1), std::invalid_argument);
+  EXPECT_THROW((void)banded_fem(kHuge, 1, 1 << 30, 1, /*with_values=*/false),
+               std::invalid_argument);
+  EXPECT_THROW((void)mesh_laplacian_2d(kHuge, 8), std::invalid_argument);
+  EXPECT_THROW((void)mesh_laplacian_2d(kHuge / 2, 2), std::invalid_argument);
+  CouplingLayers layers;
+  layers.n = kHuge;
+  layers.degree = 1 << 30;
+  EXPECT_THROW((void)coupling_pattern(layers, 1), std::invalid_argument);
+}
+
+TEST(CouplingPattern, MatchesChainedGenerators) {
+  // One assembly of all three layers equals chaining the generators with
+  // seeds s, s + 1, s + 2, pattern for pattern.
+  for (const std::uint64_t seed : {1u, 9u, 77u}) {
+    CouplingLayers layers;
+    layers.n = 1500;
+    layers.half_band = 40;
+    layers.degree = 10;
+    layers.arrow_head = 12;
+    layers.arrow_degree = 25;
+    layers.long_range_per_row = 2;
+    layers.long_range_fraction = 0.1;
+    const CsrMatrix one = coupling_pattern(layers, seed);
+    const CsrMatrix chained = with_long_range(
+        with_arrow(banded_fem(1500, 40, 10, seed, false), 12, 25, seed + 1), 2,
+        0.1, seed + 2);
+    EXPECT_NO_THROW(one.validate());
+    EXPECT_FALSE(one.has_values());
+    EXPECT_EQ(one.row_ptr(), chained.row_ptr());
+    EXPECT_EQ(one.col_idx(), chained.col_idx());
+  }
+  CouplingLayers bad;
+  bad.n = 100;
+  bad.arrow_head = 101;
+  EXPECT_THROW((void)coupling_pattern(bad, 1), std::invalid_argument);
+  bad.arrow_head = 0;
+  bad.long_range_fraction = 1.5;
+  EXPECT_THROW((void)coupling_pattern(bad, 1), std::invalid_argument);
+}
+
 TEST(MeshLaplacian, FivePointStencil) {
   const CsrMatrix m = mesh_laplacian_2d(10, 10);
   EXPECT_EQ(m.rows(), 100);
@@ -80,6 +129,28 @@ TEST(WithArrow, ValidatesArguments) {
   EXPECT_THROW((void)with_arrow(base, 101, 10, 1), std::invalid_argument);
   const CsrMatrix rect = CsrMatrix::from_triplets(2, 3, {{0, 1, 1.0}});
   EXPECT_THROW((void)with_arrow(rect, 1, 1, 1), std::invalid_argument);
+}
+
+TEST(WithArrow, KeepsValuesDiagonallyDominant) {
+  // A valued base stays valued; every arrow coupling reinforces both
+  // endpoints' diagonals.
+  const CsrMatrix arrowed = with_arrow(banded_fem(400, 8, 6, 3), 10, 30, 4);
+  ASSERT_TRUE(arrowed.has_values());
+  EXPECT_NO_THROW(arrowed.validate());
+  const auto& rp = arrowed.row_ptr();
+  const auto& ci = arrowed.col_idx();
+  const auto& v = arrowed.values();
+  for (std::int64_t r = 0; r < arrowed.rows(); ++r) {
+    double diag = 0.0, off = 0.0;
+    for (std::int64_t k = rp[r]; k < rp[r + 1]; ++k) {
+      if (ci[k] == r) {
+        diag = v[k];
+      } else {
+        off += std::abs(v[k]);
+      }
+    }
+    EXPECT_GT(diag, off) << "row " << r;
+  }
 }
 
 TEST(WithLongRange, AddsScatteredCouplings) {

@@ -48,6 +48,33 @@ TEST(MatrixMarket, ReadPattern) {
   EXPECT_EQ(m.nnz(), 2);
 }
 
+TEST(MatrixMarket, RejectsHostileEntryCounts) {
+  // A size line claiming more entries than the matrix has positions is
+  // refused before anything is reserved from it: no bad_alloc, no
+  // length_error, no overflow doubling the count for a symmetric file.
+  for (const char* entries :
+       {"1000000000000000", "3000000000000000000", "5000000000000000000"}) {
+    std::istringstream in(
+        std::string("%%MatrixMarket matrix coordinate real symmetric\n") +
+        "2 2 " + entries + "\n" + "1 1 1.0\n");
+    try {
+      (void)read_matrix_market(in);
+      ADD_FAILURE() << entries << ": no exception";
+    } catch (const std::runtime_error& e) {
+      EXPECT_STREQ(e.what(), "matrix market: invalid dimensions") << entries;
+    } catch (const std::exception& e) {
+      ADD_FAILURE() << entries << ": " << e.what();
+    }
+  }
+  // When rows * cols overflows int64 every entry count fits: this file
+  // fails only as truncated.
+  std::istringstream wide(
+      "%%MatrixMarket matrix coordinate pattern general\n"
+      "4000000000 4000000000 3\n"
+      "1 1\n");
+  EXPECT_THROW((void)read_matrix_market(wide), std::runtime_error);
+}
+
 TEST(MatrixMarket, RejectsBadHeaders) {
   std::istringstream bad1("%%MatrixMarket matrix array real general\n1 1\n");
   EXPECT_THROW((void)read_matrix_market(bad1), std::runtime_error);
