@@ -33,11 +33,12 @@ double ping_pong(const Topology& topo, const ParamSet& params, int rank_a,
   if (opts.iterations < 1) {
     throw std::invalid_argument("ping_pong: iterations must be >= 1");
   }
+  // One engine per call: reset(seed) makes it indistinguishable from a
+  // freshly constructed one, so each iteration is an independent run.
+  Engine engine(topo, params, NoiseModel(opts.seed, opts.noise_sigma));
   double total = 0.0;
   for (int it = 0; it < opts.iterations; ++it) {
-    Engine engine(topo, params,
-                  NoiseModel(opts.seed + static_cast<std::uint64_t>(it),
-                             opts.noise_sigma));
+    engine.reset(opts.seed + static_cast<std::uint64_t>(it));
     engine.isend(rank_a, rank_b, bytes, 0, space);
     engine.irecv(rank_b, rank_a, bytes, 0, space);
     engine.resolve();
@@ -72,11 +73,10 @@ double node_pong(const Topology& topo, const ParamSet& params, int node_a,
   const std::vector<int> src = topo.ranks_on_node(node_a);
   const std::vector<int> dst = topo.ranks_on_node(node_b);
 
+  Engine engine(topo, params, NoiseModel(opts.seed, opts.noise_sigma));
   double total = 0.0;
   for (int it = 0; it < opts.iterations; ++it) {
-    Engine engine(topo, params,
-                  NoiseModel(opts.seed + static_cast<std::uint64_t>(it),
-                             opts.noise_sigma));
+    engine.reset(opts.seed + static_cast<std::uint64_t>(it));
     for (int p = 0; p < active_ppn; ++p) {
       engine.isend(src[static_cast<std::size_t>(p)],
                    dst[static_cast<std::size_t>(p)], bytes_per_proc, p, space);
@@ -97,11 +97,10 @@ double copy_time(const Topology& topo, const ParamSet& params, int gpu,
   if (np > topo.pps()) {
     throw std::invalid_argument("copy_time: np exceeds cores per socket");
   }
+  Engine engine(topo, params, NoiseModel(opts.seed, opts.noise_sigma));
   double total = 0.0;
   for (int it = 0; it < opts.iterations; ++it) {
-    Engine engine(topo, params,
-                  NoiseModel(opts.seed + static_cast<std::uint64_t>(it),
-                             opts.noise_sigma));
+    engine.reset(opts.seed + static_cast<std::uint64_t>(it));
     for (int p = 0; p < np; ++p) {
       const std::int64_t share = bytes_total / np +
                                  (p < bytes_total % np ? 1 : 0);

@@ -9,122 +9,41 @@
 // counting, and resource-id derivation (ports, NIC servers, DMA engines).
 //
 // CompiledPlan hoists all of that out of the repetition loop.  Compiling a
-// (CommPlan, Topology, ParamSet) triple produces, per phase, flat
-// struct-of-arrays op tables whose entries carry every rep-invariant
-// quantity pre-folded into the exact floating-point values the interpreter
-// would compute:
+// (CommPlan, Topology, ParamSet) triple lowers each phase into the op tables
+// of hetsim/lowering.hpp -- the same tables, filled by the same
+// lower_message / lower_copy / lower_pack, that Engine::resolve() builds
+// for the batch it matched:
 //
-//   * messages: matched send/receive pairing (FIFO per (src,dst,tag), the
-//     same pairing Engine::resolve() derives each call), path class,
-//     protocol, sender occupancy alpha+beta*s, receiver drain beta*s,
-//     completion base alpha+beta*s+queue_cost, NIC occupancy, node ids;
+//   * messages: matched send/receive pairing (FIFO per (src,dst,tag); here
+//     the identity, since each op posts its send with its receive), path
+//     class, protocol, sender occupancy alpha+beta*s, receiver drain beta*s,
+//     completion base alpha+beta*s+queue_cost, NIC occupancy, node ids,
+//     dependency waves;
 //   * copies: interpolated copy parameters, DMA occupancy, base duration;
 //   * packs: base duration.
 //
-// Engine::execute(plan) then performs only the rep-varying work -- noise
-// draws, single-server queueing, clock advancement -- on member-owned
-// scratch that is cleared, never reallocated, across reps.  Execution is
-// bit-identical (clocks, traces, counters, noise-stream position) to
-// driving the same plan through run_plan()'s isend/irecv/copy/pack +
-// resolve() path; tests/test_compiled_plan.cpp holds that contract.
+// Engine::execute(plan) then performs only the rep-varying work -- posting,
+// noise draws, single-server queueing, clock advancement -- in the engine's
+// one schedule body, on member-owned scratch that is cleared, never
+// reallocated, across reps.  Execution is bit-identical (clocks, traces,
+// counters, noise-stream position) to driving the same plan through
+// run_plan()'s isend/irecv/copy/pack + resolve() path;
+// tests/test_compiled_plan.cpp and tests/test_schedule_digest.cpp hold that
+// contract.
 
 #include <cstdint>
 #include <vector>
 
 #include "core/plan.hpp"
+#include "hetsim/lowering.hpp"
 #include "hetsim/params.hpp"
 #include "hetsim/topology.hpp"
 
 namespace hetcomm::core {
 
-/// Posting-order step: which op table the next op lives in.
-enum class StepKind : std::uint8_t { Message, Copy, Pack };
-
-struct CompiledStep {
-  StepKind kind = StepKind::Message;
-  std::uint32_t index = 0;  ///< index into the phase's per-kind table
-};
-
-/// One phase of a compiled plan: flat per-kind op tables plus the posting
-/// order that interleaves them (noise draws must happen in posting order
-/// for bit-identity with the interpreted path).
-struct CompiledPhase {
-  std::vector<CompiledStep> steps;  ///< original op order
-
-  // -- Messages ----------------------------------------------------------
-  // Hot scheduling constants, read every repetition in the inner loop.
-  struct MessageSchedule {
-    std::int32_t src = -1;
-    std::int32_t dst = -1;
-    std::int64_t bytes = 0;
-    double send_occupancy = 0.0;   ///< alpha + beta*s (sender port)
-    double drain_occupancy = 0.0;  ///< beta*s (receiver port)
-    double completion_base = 0.0;  ///< alpha + beta*s + queue_cost (noised)
-    double nic_occupancy = 0.0;    ///< inv_rate*s + nic_overhead (off-node)
-    std::int32_t src_node = -1;    ///< valid when off_node
-    std::int32_t dst_node = -1;
-    std::int32_t src_nic = -1;     ///< NIC-lane server index (off-node)
-    std::int32_t dst_nic = -1;
-    std::int8_t rail = -1;         ///< explicit NIC lane (-1 = hashed)
-    bool off_node = false;
-    bool rendezvous = false;       ///< ready waits for the receive posting
-  };
-  // Cold metadata, touched only by tracing and the metrics invariant tier.
-  struct MessageMeta {
-    int tag = 0;
-    MemSpace space = MemSpace::Host;
-    Protocol protocol = Protocol::Eager;
-    std::uint8_t path_id = 0;         ///< taxonomy class id (metrics slot)
-    PathClass path = PathClass::OnSocket;  ///< base locality (traces)
-  };
-  std::vector<MessageSchedule> messages;  ///< in posting order
-  std::vector<MessageMeta> message_meta;  ///< index-aligned with messages
-  /// messages[i]'s send is FIFO-matched to messages[recv_of_send[i]]'s
-  /// receive.  (For plans built by run_plan semantics -- send and matching
-  /// receive posted by the same op -- this is the identity permutation, but
-  /// compilation derives it from first principles.)
-  std::vector<std::uint32_t> recv_of_send;
-  /// Message-to-message dependency: messages[i] becomes ready no earlier
-  /// than messages[msg_dep[i]]'s completion (-1 = independent).  Deps on
-  /// copies/packs compile away -- blocking posting on the sending rank
-  /// already orders them -- so only message targets appear here.
-  std::vector<std::int32_t> msg_dep;
-  /// Dependency waves: when any msg_dep edge exists, wave w's message
-  /// indices are wave_members[wave_begin[w] .. wave_begin[w+1]), bucketed
-  /// by dep-chain depth, index-ascending within a wave.  Empty wave_begin
-  /// means one wave of all messages -- the historical schedule path with
-  /// its warm-start sort cache.
-  std::vector<std::uint32_t> wave_members;
-  std::vector<std::uint32_t> wave_begin;
-  [[nodiscard]] std::size_t num_waves() const noexcept {
-    return wave_begin.empty() ? 1 : wave_begin.size() - 1;
-  }
-
-  // -- Copies ------------------------------------------------------------
-  struct CopyOp {
-    std::int32_t rank = -1;
-    std::int32_t gpu = -1;
-    CopyDir dir = CopyDir::DeviceToHost;
-    std::int32_t sharing_procs = 1;
-    std::int64_t bytes = 0;
-    double occupancy = 0.0;      ///< dma_op_overhead + raw_beta*s/sharing
-    double duration_base = 0.0;  ///< interpolated alpha + beta*s (noised)
-  };
-  std::vector<CopyOp> copies;
-
-  // -- Packs -------------------------------------------------------------
-  struct PackOp {
-    std::int32_t rank = -1;
-    std::int64_t bytes = 0;
-    double duration_base = 0.0;  ///< pack_per_byte * s (noised)
-  };
-  std::vector<PackOp> packs;
-
-  // Phase-constant network counters (sum over off-node messages), added to
-  // the engine's totals once per phase instead of per message.
-  std::int64_t network_bytes = 0;
-  std::int64_t network_messages = 0;
-};
+/// One phase of a compiled plan: its lowered op tables plus the posting
+/// order that interleaves them.
+using CompiledPhase = LoweredPhase;
 
 /// Immutable compiled form of a CommPlan for one (Topology, ParamSet).
 /// Thread-safe to share by const reference across workers: execution

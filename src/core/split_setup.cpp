@@ -93,7 +93,8 @@ SplitSetup split_setup(const CommPattern& pattern, const Topology& topo,
         // Proportional share of the payload; the last slice absorbs the
         // rounding remainder so payload is conserved exactly.
         const std::int64_t payload_take =
-            take == remaining ? payload_left : f.bytes * take / f.wire_bytes;
+            take == remaining ? payload_left
+                              : detail::mul_div(f.bytes, take, f.wire_bytes);
         current.slices.push_back({f.src_gpu, f.dst_gpu, take, payload_take});
         current.bytes += take;
         remaining -= take;

@@ -27,7 +27,7 @@ NodeTraffic internode_traffic(const CommPattern& pattern,
             flows[i].wire_bytes = dedup - assigned;
           } else {
             flows[i].wire_bytes =
-                payload > 0 ? dedup * flows[i].bytes / payload : 0;
+                payload > 0 ? mul_div(dedup, flows[i].bytes, payload) : 0;
           }
           assigned += flows[i].wire_bytes;
         }

@@ -20,6 +20,14 @@ inline constexpr int kTagRedist = 4'000'000;
 inline constexpr int kTagScatter = 5'000'000;
 inline constexpr int kTagStandard = 6'000'000;
 
+/// a * b / c (truncated) with a 128-bit intermediate: byte shares of
+/// multi-GiB flows overflow an int64 product.  The quotient must fit.
+[[nodiscard]] inline std::int64_t mul_div(std::int64_t a, std::int64_t b,
+                                          std::int64_t c) {
+  __extension__ typedef __int128 wide;
+  return static_cast<std::int64_t>(static_cast<wide>(a) * b / c);
+}
+
 /// One GPU-to-GPU flow crossing a given node pair.
 ///
 /// `bytes` is the payload the destination GPU must end up with; `wire_bytes`

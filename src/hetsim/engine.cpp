@@ -1,10 +1,13 @@
 #include "hetsim/engine.hpp"
 
 #include <algorithm>
-#include <cmath>
+#include <bit>
+#include <cstring>
+#include <limits>
 #include <stdexcept>
 #include <string>
 #include <tuple>
+#include <utility>
 
 #include "obs/engine_metrics.hpp"
 
@@ -25,11 +28,6 @@ Engine::Engine(Topology topology, ParamSet params, NoiseModel noise)
       run_seed_(noise.seed()) {
   params_.validate();
   paths_ = PathTable(topo_, params_.taxonomy);
-  nic_of_rank_.resize(static_cast<std::size_t>(topo_.num_ranks()));
-  for (int r = 0; r < topo_.num_ranks(); ++r) {
-    nic_of_rank_[static_cast<std::size_t>(r)] =
-        params_.injection.nic_of(topo_.rank_location(r));
-  }
 }
 
 void Engine::check_rank(int rank) const {
@@ -82,41 +80,34 @@ void Engine::copy(int rank, int gpu, CopyDir dir, std::int64_t bytes,
     throw std::invalid_argument("Engine::copy: sharing_procs must be >= 1");
   }
 
-  const PostalParams cp = copy_params_for(params_.copies, dir, sharing_procs);
-  // The DMA engine serializes distinct copies.  For shared (MPS-style)
-  // copies the measured betas already embody the sharing penalty, so the
-  // occupancy uses the raw 1-process link rate scaled down by the sharing
-  // degree: concurrent sharers overlap nearly fully while sequential copies
-  // still queue.
-  const PostalParams raw = copy_params_for(params_.copies, dir, 1);
-  const double occupancy =
-      params_.overheads.dma_op_overhead +
-      raw.beta * static_cast<double>(bytes) / sharing_procs;
+  run_copy(lower_copy(params_, rank, gpu, dir, bytes, sharing_procs));
+}
 
+void Engine::run_copy(const LoweredPhase::CopyOp& op) {
   BusyServer& dma =
-      dir == CopyDir::HostToDevice ? dma_h2d_[gpu] : dma_d2h_[gpu];
-  const double ready = clock_[rank];
-  const double start = dma.acquire(ready, occupancy);
-  double base = cp.time(bytes);
-  if (faults_) base = faults_->rank_compute_factor(rank) * base;
+      op.dir == CopyDir::HostToDevice ? dma_h2d_[op.gpu] : dma_d2h_[op.gpu];
+  const double ready = clock_[op.rank];
+  const double start = dma.acquire(ready, op.occupancy);
+  double base = op.duration_base;
+  if (faults_) base = faults_->rank_compute_factor(op.rank) * base;
   const double duration = noise_.perturb(base);
-  clock_[rank] = start + duration;
+  clock_[op.rank] = start + duration;
 
   if (metrics_inv_ || metrics_smp_) {
-    const obs::SimResource res = dir == CopyDir::HostToDevice
+    const obs::SimResource res = op.dir == CopyDir::HostToDevice
                                      ? obs::SimResource::DmaH2D
                                      : obs::SimResource::DmaD2H;
     // The DMA occupancy is deterministic (invariant tier); the wait and
     // the noised duration are sampled statistics.
-    if (metrics_inv_) metrics_inv_->on_occupancy(res, occupancy);
+    if (metrics_inv_) metrics_inv_->on_occupancy(res, op.occupancy);
     if (metrics_smp_) {
       metrics_smp_->on_wait(res, ready, start);
-      metrics_smp_->on_copy(dir, sharing_procs, bytes, duration);
+      metrics_smp_->on_copy(op.dir, op.sharing_procs, op.bytes, duration);
     }
   }
   if (tracing_) {
-    trace_.copies.push_back(
-        {rank, gpu, dir, bytes, sharing_procs, start, clock_[rank]});
+    trace_.copies.push_back({op.rank, op.gpu, op.dir, op.bytes,
+                             op.sharing_procs, start, clock_[op.rank]});
   }
 }
 
@@ -137,11 +128,15 @@ void Engine::compute(int rank, double seconds) {
 void Engine::pack(int rank, std::int64_t bytes) {
   check_rank(rank);
   if (bytes < 0) throw std::invalid_argument("Engine::pack: negative size");
-  double base = params_.overheads.pack_per_byte * static_cast<double>(bytes);
-  if (faults_) base = faults_->rank_compute_factor(rank) * base;
+  run_pack(lower_pack(params_, rank, bytes));
+}
+
+void Engine::run_pack(const LoweredPhase::PackOp& op) {
+  double base = op.duration_base;
+  if (faults_) base = faults_->rank_compute_factor(op.rank) * base;
   const double duration = noise_.perturb(base);
-  clock_[rank] += duration;
-  if (metrics_smp_) metrics_smp_->on_pack(bytes, duration);
+  clock_[op.rank] += duration;
+  if (metrics_smp_) metrics_smp_->on_pack(op.bytes, duration);
 }
 
 void Engine::set_metrics(obs::EngineMetrics* sink, bool record_invariants,
@@ -209,8 +204,7 @@ void Engine::resolve() {
   // receive lists each call, sort index arrays (member scratch) of both
   // sides by (key, seq) and walk them in lockstep -- within one key the
   // seq order gives FIFO pairing, and any key imbalance is an unmatched
-  // operation.  The pairing is identical to the historical map-based
-  // matcher; only its cost changed.
+  // operation.
   using Key = std::tuple<int, int, int>;  // (src, dst, tag)
   const auto send_key = [](const PendingOp& s) {
     return Key{s.self, s.peer, s.tag};
@@ -236,7 +230,9 @@ void Engine::resolve() {
               return recvs_[a].seq < recvs_[b].seq;
             });
 
-  matched_scratch_.clear();
+  LoweredPhase& phase = resolve_phase_;
+  phase.clear();
+  phase.recv_of_send.resize(sends_.size());
   std::size_t si = 0, ri = 0;
   while (si < sends_.size() && ri < recvs_.size()) {
     const PendingOp& s = sends_[send_order_scratch_[si]];
@@ -256,11 +252,7 @@ void Engine::resolve() {
                    ": send " + std::to_string(s.bytes) + "B vs recv " +
                    std::to_string(r.bytes) + "B");
     }
-    const Protocol proto = params_.thresholds.select(s.space, s.bytes);
-    const double ready = proto == Protocol::Rendezvous
-                             ? std::max(s.post_time, r.post_time)
-                             : s.post_time;
-    matched_scratch_.push_back({s, r, ready});
+    phase.recv_of_send[send_order_scratch_[si]] = recv_order_scratch_[ri];
     ++si;
     ++ri;
   }
@@ -274,37 +266,44 @@ void Engine::resolve() {
                  " unmatched receive(s)");
   }
 
-  // Queue-search cost: proportional to how many receives each rank has
-  // posted in this resolution batch (a proxy for posted-queue length).
+  // ---- Lower the matched batch, sends in posting (= seq) order. ----
   recv_depth_scratch_.assign(static_cast<std::size_t>(topo_.num_ranks()), 0);
   for (const PendingOp& r : recvs_) ++recv_depth_scratch_[r.self];
-
-  bool has_deps = false;
-  for (const PendingOp& s : sends_) {
+  post_send_scratch_.resize(sends_.size());
+  for (std::size_t i = 0; i < sends_.size(); ++i) {
+    const PendingOp& s = sends_[i];
+    std::int32_t dep = -1;
     if (s.dep_seq >= 0) {
-      has_deps = true;
-      break;
+      // sends_ is seq-ascending, so the gating send is a binary search
+      // away -- or not in this batch at all.
+      const auto it = std::lower_bound(
+          sends_.begin(), sends_.end(), s.dep_seq,
+          [](const PendingOp& p, int seq) { return p.seq < seq; });
+      if (it == sends_.end() || it->seq != s.dep_seq) {
+        fail_resolve("send " + std::to_string(s.seq) +
+                     " depends on request " + std::to_string(s.dep_seq) +
+                     ", which is not a send");
+      }
+      dep = static_cast<std::int32_t>(it - sends_.begin());
     }
+    phase.msg_dep.push_back(dep);
+    lower_message(phase, topo_, params_, paths_, s.self, s.peer, s.bytes, s.tag,
+                  s.space, s.rail, recv_depth_scratch_[s.peer]);
+    post_send_scratch_[i] = s.post_time;
+  }
+  phase.build_waves(wave_depth_scratch_);
+  post_recv_scratch_.resize(recvs_.size());
+  for (std::size_t j = 0; j < recvs_.size(); ++j) {
+    post_recv_scratch_[j] = recvs_[j].post_time;
   }
 
   // A mid-plan FaultAbort honors the same failure contract as a matching
   // failure: every pending operation is dropped so the engine is reusable
   // (reset() for full recovery), then the structured error propagates.
   try {
-    if (!has_deps) {
-      // ---- Schedule in global ready order (deterministic tie-break). ----
-      // (ready, send.seq) is a strict total order -- seqs are unique -- so
-      // the sorted schedule is independent of the matching order above.
-      // This is the historical path, taken by every plan without
-      // depends_on edges.
-      std::sort(matched_scratch_.begin(), matched_scratch_.end(),
-                [](const Matched& a, const Matched& b) {
-                  if (a.ready != b.ready) return a.ready < b.ready;
-                  return a.send.seq < b.send.seq;
-                });
-      for (Matched& m : matched_scratch_) schedule(m, recv_depth_scratch_);
-    } else {
-      resolve_waves();
+    resolve_order_scratch_.clear();  // cold sort: no previous order
+    if (!phase.messages.empty()) {
+      schedule_messages(phase, resolve_order_scratch_);
     }
   } catch (...) {
     sends_.clear();
@@ -316,258 +315,372 @@ void Engine::resolve() {
   recvs_.clear();
 }
 
-void Engine::resolve_waves() {
-  // Dependency-wave scheduling: chunk k+1's transfer is ready no earlier
-  // than chunk k's completion.  Transfers are bucketed by dep-chain depth
-  // (wave) and scheduled wave by wave; within a wave the order is the same
-  // strict (adjusted ready, send seq) total order the dep-free path uses
-  // globally, so a plan whose dep edges never bind reproduces the dep-free
-  // schedule exactly.
-  const std::size_t m_count = matched_scratch_.size();
-  seq_to_matched_scratch_.assign(static_cast<std::size_t>(next_seq_), -1);
-  for (std::size_t i = 0; i < m_count; ++i) {
-    seq_to_matched_scratch_[static_cast<std::size_t>(
-        matched_scratch_[i].send.seq)] = static_cast<std::int32_t>(i);
-  }
-  matched_dep_scratch_.assign(m_count, -1);
-  matched_depth_scratch_.assign(m_count, 0);
-  std::int32_t max_depth = 0;
-  // Send seqs increase with posting order and every dep targets an earlier
-  // request, so a seq-order walk sees each dependency before its dependent
-  // (acyclic by construction).
-  for (int s = 0; s < next_seq_; ++s) {
-    const std::int32_t i = seq_to_matched_scratch_[static_cast<std::size_t>(s)];
-    if (i < 0) continue;
-    const int dep_seq = matched_scratch_[static_cast<std::size_t>(i)].send.dep_seq;
-    if (dep_seq < 0) continue;
-    const std::int32_t d =
-        seq_to_matched_scratch_[static_cast<std::size_t>(dep_seq)];
-    if (d < 0) {
-      fail_resolve("send " + std::to_string(s) +
-                   " depends on request " + std::to_string(dep_seq) +
-                   ", which is not a send");
-    }
-    matched_dep_scratch_[static_cast<std::size_t>(i)] = d;
-    matched_depth_scratch_[static_cast<std::size_t>(i)] =
-        matched_depth_scratch_[static_cast<std::size_t>(d)] + 1;
-    max_depth = std::max(max_depth,
-                         matched_depth_scratch_[static_cast<std::size_t>(i)]);
-  }
-
-  matched_completion_scratch_.assign(m_count, 0.0);
-  for (std::int32_t wave = 0; wave <= max_depth; ++wave) {
-    wave_order_scratch_.clear();
-    for (std::size_t i = 0; i < m_count; ++i) {
-      if (matched_depth_scratch_[i] != wave) continue;
-      const std::int32_t d = matched_dep_scratch_[i];
-      if (d >= 0) {
-        matched_scratch_[i].ready =
-            std::max(matched_scratch_[i].ready,
-                     matched_completion_scratch_[static_cast<std::size_t>(d)]);
-      }
-      wave_order_scratch_.push_back(static_cast<std::uint32_t>(i));
-    }
-    std::sort(wave_order_scratch_.begin(), wave_order_scratch_.end(),
-              [this](std::uint32_t a, std::uint32_t b) {
-                const Matched& ma = matched_scratch_[a];
-                const Matched& mb = matched_scratch_[b];
-                if (ma.ready != mb.ready) return ma.ready < mb.ready;
-                return ma.send.seq < mb.send.seq;
-              });
-    for (const std::uint32_t i : wave_order_scratch_) {
-      matched_completion_scratch_[i] =
-          schedule(matched_scratch_[i], recv_depth_scratch_);
-    }
-  }
+Engine::FaultMsgState Engine::fault_prepare(
+    std::int32_t src, std::uint8_t path_id, bool off_node,
+    std::int32_t src_node, std::int32_t dst_node, std::int32_t src_nic,
+    std::int32_t dst_nic, double send_occupancy, double drain_occupancy,
+    double completion_base, double nic_occupancy, double ready) {
+  FaultMsgState st;
+  st.msg_id = fault_msg_counter_++;
+  const int lanes = std::max(1, params_.injection.nics_per_node);
+  FaultModel::MessageView view;
+  view.src = src;
+  view.path_id = path_id;
+  view.off_node = off_node;
+  view.src_node = src_node;
+  view.dst_node = dst_node;
+  view.src_lane = off_node ? src_nic - src_node * lanes : -1;
+  view.dst_lane = off_node ? dst_nic - dst_node * lanes : -1;
+  view.send_occupancy = send_occupancy;
+  view.drain_occupancy = drain_occupancy;
+  view.completion_base = completion_base;
+  view.nic_occupancy = nic_occupancy;
+  view.nic_overhead = params_.overheads.nic_message_overhead;
+  const FaultModel::EffectiveMessage eff = faults_->effective(view, ready);
+  st.send_occupancy = eff.send_occupancy;
+  st.drain_occupancy = eff.drain_occupancy;
+  st.completion_base = eff.completion_base;
+  st.nic_occupancy_src = eff.nic_occupancy_src;
+  st.nic_occupancy_dst = eff.nic_occupancy_dst;
+  st.degraded = eff.degraded;
+  st.extra_seconds = eff.extra_seconds;
+  st.loss = faults_->loss_rule(path_id, ready);
+  return st;
 }
 
-double Engine::schedule(Matched& m, std::vector<int>& recv_queue_depth) {
-  const PendingOp& s = m.send;
-  const std::uint8_t path_id = paths_.path_of(s.self, s.peer);
-  const PathClass path = paths_.locality_of(path_id);
-  const Protocol proto = params_.thresholds.select(s.space, s.bytes);
-  const PostalParams pp = params_.messages.get(s.space, proto, path_id);
-  const double size = static_cast<double>(s.bytes);
-  const bool off_node = path == PathClass::OffNode;
-
-  // Rep-invariant costs.  completion_base folds the queue-search term in
-  // (left-associated exactly like the historical inline expression, so the
-  // fault-free doubles are bit-identical to the pre-fault engine).
-  const double send_occupancy = pp.alpha + pp.beta * size;
-  const double drain_occupancy = pp.beta * size;
-  const double completion_base =
-      send_occupancy +
-      params_.overheads.queue_search_per_entry * recv_queue_depth[s.peer];
-
-  double nic_occupancy = 0.0;
-  int src_node = -1;
-  int dst_node = -1;
-  std::int32_t src_nic = -1;
-  std::int32_t dst_nic = -1;
-  if (off_node) {
-    const double inv_rate = s.space == MemSpace::Host
-                                ? params_.injection.inv_rate_cpu
-                                : params_.injection.inv_rate_gpu;
-    src_node = topo_.node_of_rank(s.self);
-    dst_node = topo_.node_of_rank(s.peer);
-    if (s.rail >= 0) {
-      // Explicit rail assignment (striped plans): pin both endpoints to the
-      // rail's NIC pair instead of the default hash-to-lane choice.
-      const int lanes = std::max(1, params_.injection.nics_per_node);
-      src_nic = src_node * lanes + s.rail;
-      dst_nic = dst_node * lanes + s.rail;
-    } else {
-      src_nic = nic_of_rank_[s.self];
-      dst_nic = nic_of_rank_[s.peer];
-    }
-    nic_occupancy = inv_rate * size + params_.overheads.nic_message_overhead;
+std::int32_t Engine::fault_route_nic(std::int32_t node,
+                                     std::int32_t nic_server, double& t,
+                                     bool& failover, std::int32_t src,
+                                     std::int32_t dst, std::uint8_t path_id) {
+  const int lanes = std::max(1, params_.injection.nics_per_node);
+  const FaultModel::LaneRoute r =
+      faults_->route_lane(node, nic_server - node * lanes, lanes, t);
+  if (r.at == std::numeric_limits<double>::infinity()) {
+    throw_nic_unavailable(src, dst, path_id);
   }
+  failover = r.failover;
+  if (r.at > t) t = r.at;
+  return node * lanes + r.lane;
+}
 
-  FaultMsgState fst;
-  fst.send_occupancy = send_occupancy;
-  fst.drain_occupancy = drain_occupancy;
-  fst.completion_base = completion_base;
-  fst.nic_occupancy_src = nic_occupancy;
-  fst.nic_occupancy_dst = nic_occupancy;
-  if (faults_) {
-    fst = fault_prepare(s.self, path_id, off_node, src_node, dst_node,
-                        src_nic, dst_nic, send_occupancy, drain_occupancy,
-                        completion_base, nic_occupancy, m.ready);
-    if (fst.degraded && metrics_smp_) {
-      metrics_smp_->on_fault_degraded(path_id, fst.extra_seconds);
-    }
+namespace {
+
+/// Sort `order` into exact (ready, index)-ascending order.
+///
+/// Keys are packed as (bit pattern of ready, index) integer pairs: ready
+/// times are sums and maxima of nonnegative finite durations, and the
+/// IEEE-754 bit patterns of nonnegative doubles order identically to their
+/// values, so one integer pair comparison reproduces the exact
+/// (ready, index) strict total order with no double-compare branches.
+///
+/// When `order` already holds a permutation of the right size -- the
+/// previous repetition's schedule order -- the keys are built in that order
+/// and sorted by a warm-start insertion pass.  On small phases jitter
+/// barely reorders ready times between repetitions (~8 shifts per key on
+/// BM_RepCompiled's ~65-message phases), where a comparison sort on freshly
+/// jittered keys pays a misprediction per comparison.  On phases with
+/// thousands of messages jitter reorders nearly everything and insertion
+/// turns quadratic (~200 shifts per key over the Fig-5.1 grid), so the pass
+/// runs on a budget: the first k keys may make at most
+/// kShiftsPerCompare * bit_width(n) * k shifts, which caps the whole pass
+/// at the order of a comparison sort's n log n and gives up within a few
+/// keys on a phase that is disordered throughout.  Past the budget the keys
+/// are finished by std::sort.  A stale hint (another plan's order of the
+/// same size on a reused engine) is bounded the same way.  Any permutation
+/// and either path yield the same unique total order, so results never
+/// depend on engine history; a stale hint only costs time.
+void sort_schedule_order(std::vector<std::uint32_t>& order,
+                         std::vector<std::pair<std::uint64_t, std::uint32_t>>&
+                             keyed,
+                         std::size_t count, const double* ready) {
+  // The smallest factor at which BM_RepCompiled's phases never exceed it.
+  constexpr std::size_t kShiftsPerCompare = 4;
+  const bool warm = order.size() == count;
+  keyed.resize(count);
+  for (std::size_t k = 0; k < count; ++k) {
+    const std::uint32_t i = warm ? order[k] : static_cast<std::uint32_t>(k);
+    std::uint64_t bits;
+    std::memcpy(&bits, &ready[i], sizeof bits);
+    keyed[k] = {bits, i};
   }
-
-  const double hop_latency =
-      (off_node && fabric_) ? fabric_->hop_latency(src_node, dst_node) : 0.0;
-
-  // Send/resend loop.  Without a matching loss rule (fst.loss == nullptr)
-  // the body runs exactly once and is the historical scheduling path.  A
-  // lost attempt still consumed every resource it acquired (the wire time
-  // is real); the retry re-queues from scratch after the backoff delay.
-  double ready = m.ready;
-  double t = 0.0;
-  double completion = 0.0;
-  std::int32_t egress_server = -1;  ///< last attempt's NIC lane server
-  for (int attempt = 0;;) {
-    // Sender-side occupancy: the sending process cannot initiate the next
-    // message until this one's latency+transfer work is handed off.
-    t = send_port_[s.self].acquire(ready, fst.send_occupancy);
-    if (metrics_inv_) {
-      if (attempt == 0) metrics_inv_->on_message(path_id, proto, s.bytes);
-      metrics_inv_->on_occupancy(obs::SimResource::SendPort,
-                                 fst.send_occupancy);
-    }
-    if (metrics_smp_) {
-      metrics_smp_->on_wait(obs::SimResource::SendPort, ready, t);
-    }
-
-    if (off_node) {
-      std::int32_t out_server = src_nic;
-      if (faults_ && faults_->has_outages()) {
-        bool failover = false;
-        out_server = fault_route_nic(src_node, src_nic, t, failover, s.self,
-                                     s.peer, path_id);
-        if (failover && metrics_smp_) metrics_smp_->on_fault_failover();
+  bool sorted = warm;
+  if (warm) {
+    const std::size_t per_key =
+        kShiftsPerCompare * static_cast<std::size_t>(std::bit_width(count));
+    std::size_t shifts = 0;
+    for (std::size_t k = 1; k < count; ++k) {
+      const std::pair<std::uint64_t, std::uint32_t> v = keyed[k];
+      std::size_t j = k;
+      while (j > 0 && v < keyed[j - 1]) {
+        keyed[j] = keyed[j - 1];
+        --j;
       }
-      egress_server = out_server;
-      const double t_out =
-          nic_out_[out_server].acquire(t, fst.nic_occupancy_src);
+      keyed[j] = v;
+      shifts += k - j;
+      if (shifts > per_key * k) {
+        sorted = false;
+        break;
+      }
+    }
+  } else {
+    order.resize(count);
+  }
+  if (!sorted) std::sort(keyed.begin(), keyed.end());
+  for (std::size_t k = 0; k < count; ++k) order[k] = keyed[k].second;
+}
+
+/// Subset variant of sort_schedule_order for one dependency wave: sorts the
+/// explicit `members` list into (ready, index) order.  Always a cold sort --
+/// the warm-start cache slots are shared across plans on a reused engine,
+/// and a stale hint with the *wrong membership* would schedule the wrong
+/// messages, so wave scheduling never reads or writes that cache.
+void sort_wave_order(std::vector<std::uint32_t>& order,
+                     std::vector<std::pair<std::uint64_t, std::uint32_t>>&
+                         keyed,
+                     const std::uint32_t* members, std::size_t count,
+                     const double* ready) {
+  keyed.resize(count);
+  for (std::size_t k = 0; k < count; ++k) {
+    const std::uint32_t i = members[k];
+    std::uint64_t bits;
+    std::memcpy(&bits, &ready[i], sizeof bits);
+    keyed[k] = {bits, i};
+  }
+  std::sort(keyed.begin(), keyed.end());
+  order.resize(count);
+  for (std::size_t k = 0; k < count; ++k) order[k] = keyed[k].second;
+}
+
+}  // namespace
+
+void Engine::run_phase(const LoweredPhase& phase,
+                       std::vector<std::uint32_t>& order) {
+  // ---- Posting pass, in op order.  Copies and packs draw noise here,
+  // exactly where posting them one by one draws it. ----
+  const double post_overhead = params_.overheads.post_overhead;
+  const std::size_t num_messages = phase.messages.size();
+  post_send_scratch_.resize(num_messages);
+  post_recv_scratch_.resize(num_messages);
+  for (const PhaseStep& step : phase.steps) {
+    switch (step.kind) {
+      case StepKind::Message: {
+        const LoweredPhase::MessageSchedule& msg = phase.messages[step.index];
+        clock_[msg.src] += post_overhead;  // isend posting
+        post_send_scratch_[step.index] = clock_[msg.src];
+        clock_[msg.dst] += post_overhead;  // irecv posting
+        post_recv_scratch_[step.index] = clock_[msg.dst];
+        break;
+      }
+      case StepKind::Copy:
+        run_copy(phase.copies[step.index]);
+        break;
+      case StepKind::Pack:
+        run_pack(phase.packs[step.index]);
+        break;
+    }
+  }
+  if (num_messages != 0) schedule_messages(phase, order);
+}
+
+void Engine::schedule_messages(const LoweredPhase& phase,
+                               std::vector<std::uint32_t>& order) {
+  const std::size_t num_messages = phase.messages.size();
+  ready_scratch_.resize(num_messages);
+  for (std::uint32_t i = 0; i < num_messages; ++i) {
+    ready_scratch_[i] =
+        phase.messages[i].rendezvous
+            ? std::max(post_send_scratch_[i],
+                       post_recv_scratch_[phase.recv_of_send[i]])
+            : post_send_scratch_[i];
+  }
+
+  // ---- One message: only queueing, one noise draw per attempt, clock
+  // advancement.  Returns its completion time (what a dependent message in
+  // a later wave becomes ready at). ----
+  const auto schedule_message = [&](std::uint32_t i, double ready0) -> double {
+    const LoweredPhase::MessageSchedule& msg = phase.messages[i];
+
+    FaultMsgState fst;
+    fst.send_occupancy = msg.send_occupancy;
+    fst.drain_occupancy = msg.drain_occupancy;
+    fst.completion_base = msg.completion_base;
+    fst.nic_occupancy_src = msg.nic_occupancy;
+    fst.nic_occupancy_dst = msg.nic_occupancy;
+    std::uint8_t fault_path = 0;
+    if (faults_) {
+      fault_path = phase.message_meta[i].path_id;
+      fst = fault_prepare(msg.src, fault_path, msg.off_node, msg.src_node,
+                          msg.dst_node, msg.src_nic, msg.dst_nic,
+                          msg.send_occupancy, msg.drain_occupancy,
+                          msg.completion_base, msg.nic_occupancy, ready0);
+      if (fst.degraded && metrics_smp_) {
+        metrics_smp_->on_fault_degraded(fault_path, fst.extra_seconds);
+      }
+    }
+
+    const double hop_latency =
+        (msg.off_node && fabric_)
+            ? fabric_->hop_latency(msg.src_node, msg.dst_node)
+            : 0.0;
+
+    // Send/resend loop.  Without a matching loss rule (fst.loss == nullptr)
+    // the body runs exactly once.  A lost attempt still consumed every
+    // resource it acquired (the wire time is real); the retry re-queues
+    // from scratch after the backoff delay.
+    double ready = ready0;
+    double t = 0.0;
+    double completion = 0.0;
+    std::int32_t egress_server = -1;  ///< last attempt's NIC lane server
+    for (int attempt = 0;;) {
+      // Sender-side occupancy: the sending process cannot initiate the
+      // next message until this one's latency+transfer work is handed off.
+      t = send_port_[msg.src].acquire(ready, fst.send_occupancy);
       if (metrics_inv_) {
-        metrics_inv_->on_occupancy(obs::SimResource::NicOut,
-                                   fst.nic_occupancy_src);
         if (attempt == 0) {
-          metrics_inv_->on_nic_egress(out_server, s.bytes, s.rail >= 0);
+          const LoweredPhase::MessageMeta& meta = phase.message_meta[i];
+          metrics_inv_->on_message(meta.path_id, meta.protocol, msg.bytes);
         }
+        metrics_inv_->on_occupancy(obs::SimResource::SendPort,
+                                   fst.send_occupancy);
       }
       if (metrics_smp_) {
-        metrics_smp_->on_wait(obs::SimResource::NicOut, t, t_out);
+        metrics_smp_->on_wait(obs::SimResource::SendPort, ready, t);
       }
-      t = t_out;
-      if (fabric_) {
-        const double t_fab = fabric_->acquire(src_node, dst_node, s.bytes, t);
-        // Fabric wait folds queueing and link serialization together (the
-        // fabric returns only the final acquire time).
+      if (msg.off_node) {
+        std::int32_t out_server = msg.src_nic;
+        if (faults_ && faults_->has_outages()) {
+          bool failover = false;
+          out_server = fault_route_nic(msg.src_node, msg.src_nic, t, failover,
+                                       msg.src, msg.dst, fault_path);
+          if (failover && metrics_smp_) metrics_smp_->on_fault_failover();
+        }
+        egress_server = out_server;
+        const double t_out =
+            nic_out_[out_server].acquire(t, fst.nic_occupancy_src);
+        if (metrics_inv_) {
+          metrics_inv_->on_occupancy(obs::SimResource::NicOut,
+                                     fst.nic_occupancy_src);
+          if (attempt == 0) {
+            metrics_inv_->on_nic_egress(out_server, msg.bytes, msg.rail >= 0);
+          }
+        }
         if (metrics_smp_) {
-          metrics_smp_->on_wait(obs::SimResource::FabricLink, t, t_fab);
+          metrics_smp_->on_wait(obs::SimResource::NicOut, t, t_out);
         }
-        t = t_fab;
+        t = t_out;
+        if (fabric_) {
+          const double t_fab =
+              fabric_->acquire(msg.src_node, msg.dst_node, msg.bytes, t);
+          // Fabric wait folds queueing and link serialization together
+          // (the fabric returns only the final acquire time).
+          if (metrics_smp_) {
+            metrics_smp_->on_wait(obs::SimResource::FabricLink, t, t_fab);
+          }
+          t = t_fab;
+        }
+        std::int32_t in_server = msg.dst_nic;
+        if (faults_ && faults_->has_outages()) {
+          bool failover = false;
+          in_server = fault_route_nic(msg.dst_node, msg.dst_nic, t, failover,
+                                      msg.src, msg.dst, fault_path);
+          if (failover && metrics_smp_) metrics_smp_->on_fault_failover();
+        }
+        const double t_in = nic_in_[in_server].acquire(t, fst.nic_occupancy_dst);
+        if (metrics_inv_) {
+          metrics_inv_->on_occupancy(obs::SimResource::NicIn,
+                                     fst.nic_occupancy_dst);
+        }
+        if (metrics_smp_) {
+          metrics_smp_->on_wait(obs::SimResource::NicIn, t, t_in);
+        }
+        t = t_in;
       }
-      std::int32_t in_server = dst_nic;
-      if (faults_ && faults_->has_outages()) {
-        bool failover = false;
-        in_server = fault_route_nic(dst_node, dst_nic, t, failover, s.self,
-                                    s.peer, path_id);
-        if (failover && metrics_smp_) metrics_smp_->on_fault_failover();
-      }
-      const double t_in = nic_in_[in_server].acquire(t, fst.nic_occupancy_dst);
+      // Receiver-side drain occupancy.
+      const double t_drain =
+          recv_port_[msg.dst].acquire(t, fst.drain_occupancy);
       if (metrics_inv_) {
-        metrics_inv_->on_occupancy(obs::SimResource::NicIn,
-                                   fst.nic_occupancy_dst);
+        metrics_inv_->on_occupancy(obs::SimResource::RecvPort,
+                                   fst.drain_occupancy);
       }
-      if (metrics_smp_) metrics_smp_->on_wait(obs::SimResource::NicIn, t, t_in);
-      t = t_in;
-      if (attempt == 0) {
-        network_bytes_ += s.bytes;
-        ++network_messages_;
-      }
-    }
-
-    // Receiver-side drain occupancy.
-    const double t_drain = recv_port_[s.peer].acquire(t, fst.drain_occupancy);
-    if (metrics_inv_) {
-      metrics_inv_->on_occupancy(obs::SimResource::RecvPort,
-                                 fst.drain_occupancy);
-    }
-    if (metrics_smp_) {
-      metrics_smp_->on_wait(obs::SimResource::RecvPort, t, t_drain);
-    }
-    t = t_drain;
-
-    completion = t + noise_.perturb(fst.completion_base) + hop_latency;
-
-    if (fault_lost(fst, attempt)) {
-      ++attempt;
-      if (attempt >= fst.loss->retry.max_attempts) {
-        throw_retries_exhausted(s.self, s.peer, path_id, attempt);
-      }
-      const double delay = retry_delay(fst.loss->retry, attempt - 1);
       if (metrics_smp_) {
-        const int lanes = std::max(1, params_.injection.nics_per_node);
-        metrics_smp_->on_fault_retry(
-            delay, egress_server < 0 ? -1
-                                     : egress_server - src_node * lanes);
+        metrics_smp_->on_wait(obs::SimResource::RecvPort, t, t_drain);
       }
-      ready = completion + delay;
-      continue;
+      t = t_drain;
+
+      completion = t + noise_.perturb(fst.completion_base) + hop_latency;
+
+      if (fault_lost(fst, attempt)) {
+        ++attempt;
+        if (attempt >= fst.loss->retry.max_attempts) {
+          throw_retries_exhausted(msg.src, msg.dst, fault_path, attempt);
+        }
+        const double delay = retry_delay(fst.loss->retry, attempt - 1);
+        if (metrics_smp_) {
+          const int lanes = std::max(1, params_.injection.nics_per_node);
+          metrics_smp_->on_fault_retry(
+              delay,
+              egress_server < 0 ? -1 : egress_server - msg.src_node * lanes);
+        }
+        ready = completion + delay;
+        continue;
+      }
+      break;
     }
-    break;
-  }
 
-  // Sender finishes when its buffer may be reused: for rendezvous that is
-  // the full transfer; for short/eager the data is buffered once the local
-  // handoff (port occupancy) completes.
-  const double sender_done = proto == Protocol::Rendezvous
-                                 ? completion
-                                 : send_port_[s.self].free_at();
-  clock_[s.self] = std::max(clock_[s.self], sender_done);
-  clock_[s.peer] = std::max(clock_[s.peer], completion);
+    // Sender finishes when its buffer may be reused: for rendezvous that is
+    // the full transfer; for short/eager the data is buffered once the
+    // local handoff (port occupancy) completes.
+    const double sender_done =
+        msg.rendezvous ? completion : send_port_[msg.src].free_at();
+    clock_[msg.src] = std::max(clock_[msg.src], sender_done);
+    clock_[msg.dst] = std::max(clock_[msg.dst], completion);
 
-  if (tracing_) {
-    trace_.messages.push_back({s.self, s.peer, s.bytes, s.tag, s.space, proto,
-                               path, m.ready, t, completion});
+    if (tracing_) {
+      const LoweredPhase::MessageMeta& meta = phase.message_meta[i];
+      trace_.messages.push_back({msg.src, msg.dst, msg.bytes, meta.tag,
+                                 meta.space, meta.protocol, meta.path, ready0,
+                                 t, completion});
+    }
+    return completion;
+  };
+
+  if (phase.num_waves() == 1) {
+    sort_schedule_order(order, sched_key_scratch_, num_messages,
+                        ready_scratch_.data());
+    for (const std::uint32_t i : order) schedule_message(i, ready_scratch_[i]);
+  } else {
+    // Dependency waves (split plans): a dependent message is ready no
+    // earlier than its gating message's completion.  Each wave sorts its
+    // own members cold -- see sort_wave_order on why the warm cache must
+    // not be used here.
+    completion_scratch_.assign(num_messages, 0.0);
+    for (std::size_t w = 0; w + 1 < phase.wave_begin.size(); ++w) {
+      const std::uint32_t* members =
+          phase.wave_members.data() + phase.wave_begin[w];
+      const std::size_t count = phase.wave_begin[w + 1] - phase.wave_begin[w];
+      for (std::size_t k = 0; k < count; ++k) {
+        const std::uint32_t i = members[k];
+        const std::int32_t d = phase.msg_dep[i];
+        if (d >= 0) {
+          ready_scratch_[i] =
+              std::max(ready_scratch_[i],
+                       completion_scratch_[static_cast<std::size_t>(d)]);
+        }
+      }
+      sort_wave_order(wave_order_scratch_, sched_key_scratch_, members, count,
+                      ready_scratch_.data());
+      for (const std::uint32_t i : wave_order_scratch_) {
+        completion_scratch_[i] = schedule_message(i, ready_scratch_[i]);
+      }
+    }
   }
-  return completion;
+  network_bytes_ += phase.network_bytes;
+  network_messages_ += phase.network_messages;
 }
 
 double Engine::clock(int rank) const {
   check_rank(rank);
   return clock_[rank];
-}
-
-void Engine::set_clock(int rank, double time) {
-  check_rank(rank);
-  clock_[rank] = time;
 }
 
 double Engine::max_clock() const {
@@ -617,32 +730,6 @@ void Engine::reset(std::uint64_t noise_seed) {
   noise_.reseed(noise_seed);
   run_seed_ = noise_seed;
   refresh_fault_stream();
-}
-
-PostalParams copy_params_for(const CopyParamTable& table, CopyDir dir,
-                             int np) {
-  if (np < 1) throw std::invalid_argument("copy_params_for: np must be >= 1");
-  const PostalParams& one = table.get(dir, 1);
-  const PostalParams& shared = table.get(dir, table.shared_procs);
-  if (np == 1) return one;
-  if (np >= table.shared_procs) {
-    // Beyond the measured sharing level the paper observed no benefit in
-    // splitting further: keep the *aggregate* throughput flat (per-process
-    // rate degrades proportionally) and let the per-copy latency grow with
-    // the number of time-sliced MPS clients.
-    const double factor = static_cast<double>(np) / table.shared_procs;
-    PostalParams out = shared;
-    out.alpha = shared.alpha * factor;
-    out.beta = shared.beta * factor;
-    return out;
-  }
-  // Geometric interpolation in log(np) between the two measured rows.
-  const double f = std::log(static_cast<double>(np)) /
-                   std::log(static_cast<double>(table.shared_procs));
-  PostalParams out;
-  out.alpha = one.alpha * std::pow(shared.alpha / one.alpha, f);
-  out.beta = one.beta * std::pow(shared.beta / one.beta, f);
-  return out;
 }
 
 }  // namespace hetcomm

@@ -5,11 +5,16 @@
 //   * Client code iterates over ranks and posts nonblocking operations
 //     (isend / irecv) plus blocking local work (copy / compute / pack),
 //     all stamped with the posting rank's local clock.
-//   * resolve() matches every pending send to its receive, schedules the
+//   * resolve() matches every pending send to its receive, lowers the
+//     matched batch into op tables (hetsim/lowering.hpp), schedules the
 //     transfers against contended resources (per-process ports, per-node NIC
 //     ingress/egress servers, per-GPU DMA engines) in global ready-time
 //     order, and advances each rank's clock to the completion of its own
 //     operations -- there is no global barrier.
+//   * execute() replays a core::CompiledPlan, whose phases were lowered
+//     into the same tables once at compile time.
+// Both run one schedule body (schedule_messages), so the two entry points
+// are event-for-event identical by construction.
 //
 // An uncontended message costs exactly alpha + beta*s from the calibrated
 // parameter table; contention (queueing on shared resources) and measurement
@@ -24,6 +29,7 @@
 #include <vector>
 
 #include "hetsim/faults.hpp"
+#include "hetsim/lowering.hpp"
 #include "hetsim/network.hpp"
 #include "hetsim/noise.hpp"
 #include "hetsim/params.hpp"
@@ -104,12 +110,12 @@ class Engine {
   void resolve();
 
   /// Execute a compiled plan: the rep-invariant work (send/recv matching,
-  /// path classification, protocol selection, alpha/beta lookups, queue
-  /// depths) was hoisted into the CompiledPlan at compile time, so this
-  /// inner loop only draws noise, queues on contended resources, and
-  /// advances clocks.  Event-for-event identical -- clocks, traces,
-  /// counters, noise stream -- to posting the original CommPlan through
-  /// isend/irecv/copy/pack + resolve().  The engine must have been
+  /// lowering into costs) was done at compile time, so each repetition only
+  /// posts, draws noise, queues on contended resources, and advances
+  /// clocks.  Event-for-event identical -- clocks, traces, counters, noise
+  /// stream -- to posting the original CommPlan through
+  /// isend/irecv/copy/pack + resolve(): both lower through the same
+  /// functions and run the same schedule body.  The engine must have been
   /// constructed with the same Topology and ParamSet the plan was
   /// compiled against (checked structurally; a mismatch throws
   /// std::invalid_argument), and must not hold pending operations.
@@ -126,7 +132,6 @@ class Engine {
   [[nodiscard]] const std::vector<double>& clocks() const noexcept {
     return clock_;
   }
-  void set_clock(int rank, double t);
   /// Maximum clock over all ranks (makespan so far).
   [[nodiscard]] double max_clock() const;
   /// Reset all clocks, resources, counters and traces to time zero,
@@ -218,20 +223,27 @@ class Engine {
     int dep_seq = -1;  ///< gating send's request id (sends only; -1 = none)
   };
 
-  struct Matched {
-    PendingOp send;
-    PendingOp recv;
-    double ready = 0.0;
-  };
-
   void check_rank(int rank) const;
-  /// Schedule one matched transfer; returns its completion time (what a
-  /// dependent send in a later wave becomes ready at).
-  double schedule(Matched& m, std::vector<int>& recv_queue_depth);
-  /// resolve() tail for batches holding depends_on edges: buckets matched
-  /// transfers into dependency waves and schedules wave by wave.
-  void resolve_waves();
   void fail_resolve(const std::string& what);  ///< clear pending, then throw
+
+  /// Run one lowered copy / pack on its rank's clock (noise drawn here).
+  void run_copy(const LoweredPhase::CopyOp& op);
+  void run_pack(const LoweredPhase::PackOp& op);
+  /// Replay one compiled phase: the posting pass in step order (copies and
+  /// packs run as posted), then schedule_messages.  `order` is the phase's
+  /// warm-start schedule-order slot.
+  void run_phase(const LoweredPhase& phase, std::vector<std::uint32_t>& order);
+  /// The one schedule body.  Message i is ready at its send posting time
+  /// (post_send_scratch_[i]), or for rendezvous no earlier than its matched
+  /// receive's (post_recv_scratch_[recv_of_send[i]]) and, in later
+  /// dependency waves, its gating message's completion.  Messages are then
+  /// scheduled in (ready, index) order -- index = send posting order --
+  /// through the send/resend loop against contended resources, with the
+  /// fault, metric and trace hooks, and the phase's network counters are
+  /// added.  `order` holds the previous schedule order of this phase as a
+  /// warm start for the sort, or anything else for a cold one.
+  void schedule_messages(const LoweredPhase& phase,
+                         std::vector<std::uint32_t>& order);
 
   /// Per-message fault state resolved once before the (re)send loop.
   /// Occupancies default to the unfaulted inputs; loss stays null when no
@@ -248,45 +260,14 @@ class Engine {
     double extra_seconds = 0.0;
   };
 
-  // The fault helpers are inline members so the interpreted (engine.cpp)
-  // and compiled (core/compiled_plan.cpp) scheduling paths share the exact
-  // same expression trees -- a requirement for the bit-identity contract
-  // between the engine modes.  fault_prepare() keys the message by the
-  // next schedule-order id (fault_msg_counter_).  Only call them when
-  // faults_ != nullptr.
+  // Fault helpers for schedule_messages; only call them when
+  // faults_ != nullptr.  fault_prepare() keys the message by the next
+  // schedule-order id (fault_msg_counter_).
   [[nodiscard]] FaultMsgState fault_prepare(
       std::int32_t src, std::uint8_t path_id, bool off_node,
       std::int32_t src_node, std::int32_t dst_node, std::int32_t src_nic,
       std::int32_t dst_nic, double send_occupancy, double drain_occupancy,
-      double completion_base, double nic_occupancy, double ready) {
-    FaultMsgState st;
-    st.msg_id = fault_msg_counter_++;
-    const int lanes = std::max(1, params_.injection.nics_per_node);
-    FaultModel::MessageView view;
-    view.src = src;
-    view.path_id = path_id;
-    view.off_node = off_node;
-    view.src_node = src_node;
-    view.dst_node = dst_node;
-    view.src_lane = off_node ? src_nic - src_node * lanes : -1;
-    view.dst_lane = off_node ? dst_nic - dst_node * lanes : -1;
-    view.send_occupancy = send_occupancy;
-    view.drain_occupancy = drain_occupancy;
-    view.completion_base = completion_base;
-    view.nic_occupancy = nic_occupancy;
-    view.nic_overhead = params_.overheads.nic_message_overhead;
-    const FaultModel::EffectiveMessage eff = faults_->effective(view, ready);
-    st.send_occupancy = eff.send_occupancy;
-    st.drain_occupancy = eff.drain_occupancy;
-    st.completion_base = eff.completion_base;
-    st.nic_occupancy_src = eff.nic_occupancy_src;
-    st.nic_occupancy_dst = eff.nic_occupancy_dst;
-    st.degraded = eff.degraded;
-    st.extra_seconds = eff.extra_seconds;
-    st.loss = faults_->loss_rule(path_id, ready);
-    return st;
-  }
-
+      double completion_base, double nic_occupancy, double ready);
   /// Outage-aware lane selection for NIC server `nic_server`
   /// (= node*lanes + lane) at time `t`.  Returns the server index to use,
   /// advancing `t` to the earliest recovery when every lane of the node is
@@ -297,18 +278,7 @@ class Engine {
                                              double& t, bool& failover,
                                              std::int32_t src,
                                              std::int32_t dst,
-                                             std::uint8_t path_id) {
-    const int lanes = std::max(1, params_.injection.nics_per_node);
-    const FaultModel::LaneRoute r =
-        faults_->route_lane(node, nic_server - node * lanes, lanes, t);
-    if (r.at == std::numeric_limits<double>::infinity()) {
-      throw_nic_unavailable(src, dst, path_id);
-    }
-    failover = r.failover;
-    if (r.at > t) t = r.at;
-    return node * lanes + r.lane;
-  }
-
+                                             std::uint8_t path_id);
   /// Deterministic loss decision for send attempt `attempt` (0-based).
   [[nodiscard]] bool fault_lost(const FaultMsgState& st,
                                 int attempt) const noexcept {
@@ -338,7 +308,6 @@ class Engine {
   std::vector<BusyServer> recv_port_;  ///< per-rank inbound transport
   std::vector<BusyServer> nic_out_;    ///< per-NIC-lane egress (node x lanes)
   std::vector<BusyServer> nic_in_;     ///< per-NIC-lane ingress (node x lanes)
-  std::vector<std::int32_t> nic_of_rank_;  ///< rank -> NIC-lane server index
   std::vector<BusyServer> dma_h2d_;    ///< per-GPU DMA engine, H2D
   std::vector<BusyServer> dma_d2h_;    ///< per-GPU DMA engine, D2H
   std::optional<FatTreeFabric> fabric_;  ///< optional tapered fat tree
@@ -352,17 +321,15 @@ class Engine {
   // first use, capacity retained across reset().  Never read across calls.
   std::vector<std::uint32_t> send_order_scratch_;  ///< sends by (key, seq)
   std::vector<std::uint32_t> recv_order_scratch_;  ///< recvs by (key, seq)
-  std::vector<Matched> matched_scratch_;
   std::vector<int> recv_depth_scratch_;        ///< posted recvs per rank
-  // Dependency-wave scratch (resolve with dep_seq edges; see resolve()).
-  std::vector<std::int32_t> seq_to_matched_scratch_;  ///< send seq -> matched
-  std::vector<std::int32_t> matched_dep_scratch_;     ///< matched -> matched
-  std::vector<std::int32_t> matched_depth_scratch_;   ///< dep-chain depth
-  std::vector<double> matched_completion_scratch_;    ///< per-transfer finish
+  LoweredPhase resolve_phase_;                 ///< resolve()'s lowered batch
+  std::vector<std::int32_t> wave_depth_scratch_;  ///< build_waves scratch
+  std::vector<std::uint32_t> resolve_order_scratch_;  ///< cold sort order
+  std::vector<double> post_send_scratch_;      ///< send post times
+  std::vector<double> post_recv_scratch_;      ///< recv post times
+  std::vector<double> ready_scratch_;          ///< transfer ready times
+  std::vector<double> completion_scratch_;     ///< per-message finish (waves)
   std::vector<std::uint32_t> wave_order_scratch_;     ///< one wave's members
-  std::vector<double> post_send_scratch_;      ///< compiled: send post times
-  std::vector<double> post_recv_scratch_;      ///< compiled: recv post times
-  std::vector<double> ready_scratch_;          ///< compiled: transfer ready
   /// Per-phase schedule orders, kept across execute() calls as the
   /// *starting permutation* for the next (ready, index) sort.  On small
   /// phases jitter barely reorders ready times between repetitions, so
@@ -401,14 +368,5 @@ class Engine {
   std::uint64_t fault_stream_ = 0;
   std::uint64_t fault_msg_counter_ = 0;
 };
-
-/// Copy parameters for `np` processes sharing one GPU's DMA engine.
-/// np == 1 and np == table.shared_procs return measured rows; intermediate
-/// values interpolate geometrically in np.  Above the measured sharing
-/// level both alpha and beta scale linearly with np (flat aggregate
-/// throughput, growing per-client latency), reflecting the paper's "no
-/// benefit past four processes" observation.
-[[nodiscard]] PostalParams copy_params_for(const CopyParamTable& table,
-                                           CopyDir dir, int np);
 
 }  // namespace hetcomm

@@ -159,6 +159,74 @@ TEST_F(PingPongTest, CopyTimeUsesSharedParams) {
   EXPECT_GT(t4, 0.0);
 }
 
+TEST_F(PingPongTest, ReusedEngineMatchesFreshEnginePerIteration) {
+  // The helpers run every iteration on one engine reset to the iteration's
+  // seed; that must equal a freshly constructed engine per iteration, bit
+  // for bit, with noise on (the reference loops are the helpers' former
+  // bodies).
+  const ParamSet params = lassen_params();  // post and queue costs on
+  const MeasureOpts opts{9, 41, 0.07};
+  const auto fresh = [&](int it) {
+    return Engine(topo_, params,
+                  NoiseModel(opts.seed + static_cast<std::uint64_t>(it),
+                             opts.noise_sigma));
+  };
+  for (const PathClass path :
+       {PathClass::OnSocket, PathClass::OnNode, PathClass::OffNode}) {
+    const auto [a, b] = rank_pair_for(topo_, path);
+    for (const std::int64_t bytes : {16, 6000, 400000}) {
+      for (const MemSpace space : {MemSpace::Host, MemSpace::Device}) {
+        double total = 0.0;
+        for (int it = 0; it < opts.iterations; ++it) {
+          Engine engine = fresh(it);
+          engine.isend(a, b, bytes, 0, space);
+          engine.irecv(b, a, bytes, 0, space);
+          engine.resolve();
+          total += engine.clock(b);
+        }
+        EXPECT_EQ(ping_pong(topo_, params, a, b, bytes, space, opts),
+                  total / opts.iterations)
+            << to_string(path) << " " << bytes;
+      }
+    }
+  }
+  const std::vector<int> src = topo_.ranks_on_node(0);
+  const std::vector<int> dst = topo_.ranks_on_node(1);
+  for (const int ppn : {1, 3, topo_.ppn()}) {
+    double total = 0.0;
+    for (int it = 0; it < opts.iterations; ++it) {
+      Engine engine = fresh(it);
+      for (int p = 0; p < ppn; ++p) {
+        engine.isend(src[p], dst[p], 70000, p, MemSpace::Device);
+        engine.irecv(dst[p], src[p], 70000, p, MemSpace::Device);
+      }
+      engine.resolve();
+      total += engine.max_clock();
+    }
+    EXPECT_EQ(node_pong(topo_, params, 0, 1, ppn, 70000, MemSpace::Device,
+                        opts),
+              total / opts.iterations)
+        << "ppn " << ppn;
+  }
+  const GpuLocation loc = topo_.gpu_location(1);
+  for (const int np : {1, 2, 4}) {
+    double total = 0.0;
+    for (int it = 0; it < opts.iterations; ++it) {
+      Engine engine = fresh(it);
+      for (int p = 0; p < np; ++p) {
+        engine.copy(topo_.rank_of(loc.node, loc.socket, p), 1,
+                    CopyDir::HostToDevice,
+                    1000001 / np + (p < 1000001 % np ? 1 : 0), np);
+      }
+      total += engine.max_clock();
+    }
+    EXPECT_EQ(copy_time(topo_, params, 1, CopyDir::HostToDevice, 1000001, np,
+                        opts),
+              total / opts.iterations)
+        << "np " << np;
+  }
+}
+
 TEST_F(PingPongTest, SizesForProtocolStayInRegime) {
   for (const Protocol proto :
        {Protocol::Short, Protocol::Eager, Protocol::Rendezvous}) {

@@ -5,6 +5,9 @@
 #include <map>
 #include <set>
 
+#include "core/compiled_plan.hpp"
+#include "core/strategy.hpp"
+
 namespace hetcomm::core {
 namespace {
 
@@ -164,6 +167,41 @@ TEST_F(SplitSetupTest, IntranodeTrafficProducesNoChunks) {
   const SplitSetup setup = split_setup(p, topo_, 4096);
   EXPECT_TRUE(setup.chunks.empty());
   EXPECT_TRUE(setup.node_info.empty());
+}
+
+TEST_F(SplitSetupTest, MultiGibFlowsConservePayloadAndCompile) {
+  // A slice's payload share multiplies two multi-GiB sizes (and so does the
+  // dedup spread over flows): past ~3 GiB that product leaves int64.
+  constexpr std::int64_t kGiB = std::int64_t{1} << 30;
+  CommPattern p(topo_.num_gpus());
+  p.add(0, 4, 4 * kGiB);
+  p.add(0, 5, 5 * kGiB + 3);
+  p.add(1, 8, 6 * kGiB + 1);
+  p.add(9, 2, 4 * kGiB);
+  p.add(13, 6, 7 * kGiB);
+  p.set_node_dedup(0, 1, 7 * kGiB);  // wire volume below payload
+  const std::pair<int, int> flows[] = {{0, 4}, {0, 5}, {1, 8}, {9, 2}, {13, 6}};
+  for (const std::int64_t cap : {std::int64_t{1} << 20, kGiB}) {
+    const SplitSetup setup = split_setup(p, topo_, cap);
+    std::map<std::pair<int, int>, std::int64_t> payload;
+    for (const SplitChunk& c : setup.chunks) {
+      EXPECT_GE(c.bytes, 0);
+      for (const FlowSlice& s : c.slices) {
+        EXPECT_GE(s.bytes, 0) << s.src_gpu << "->" << s.dst_gpu;
+        EXPECT_GE(s.payload_bytes, 0) << s.src_gpu << "->" << s.dst_gpu;
+        payload[{s.src_gpu, s.dst_gpu}] += s.payload_bytes;
+      }
+    }
+    for (const auto& [src, dst] : flows) {
+      EXPECT_EQ((payload[{src, dst}]), p.bytes(src, dst))
+          << src << "->" << dst << " cap " << cap;
+    }
+  }
+  const ParamSet params = lassen_params();
+  for (const StrategyKind kind : {StrategyKind::SplitMD, StrategyKind::SplitDD}) {
+    const CommPlan plan = build_plan(p, topo_, params, {kind, MemSpace::Host});
+    EXPECT_NO_THROW((void)CompiledPlan(plan, topo_, params)) << to_string(kind);
+  }
 }
 
 }  // namespace
