@@ -302,9 +302,7 @@ void Engine::resolve() {
   // (reset() for full recovery), then the structured error propagates.
   try {
     resolve_order_scratch_.clear();  // cold sort: no previous order
-    if (!phase.messages.empty()) {
-      schedule_messages(phase, resolve_order_scratch_);
-    }
+    schedule_messages(phase, resolve_order_scratch_);
   } catch (...) {
     sends_.clear();
     recvs_.clear();
@@ -316,25 +314,23 @@ void Engine::resolve() {
 }
 
 Engine::FaultMsgState Engine::fault_prepare(
-    std::int32_t src, std::uint8_t path_id, bool off_node,
-    std::int32_t src_node, std::int32_t dst_node, std::int32_t src_nic,
-    std::int32_t dst_nic, double send_occupancy, double drain_occupancy,
-    double completion_base, double nic_occupancy, double ready) {
+    const LoweredPhase::MessageSchedule& msg, std::uint8_t path_id,
+    double ready) {
   FaultMsgState st;
   st.msg_id = fault_msg_counter_++;
   const int lanes = std::max(1, params_.injection.nics_per_node);
   FaultModel::MessageView view;
-  view.src = src;
+  view.src = msg.src;
   view.path_id = path_id;
-  view.off_node = off_node;
-  view.src_node = src_node;
-  view.dst_node = dst_node;
-  view.src_lane = off_node ? src_nic - src_node * lanes : -1;
-  view.dst_lane = off_node ? dst_nic - dst_node * lanes : -1;
-  view.send_occupancy = send_occupancy;
-  view.drain_occupancy = drain_occupancy;
-  view.completion_base = completion_base;
-  view.nic_occupancy = nic_occupancy;
+  view.off_node = msg.off_node;
+  view.src_node = msg.src_node;
+  view.dst_node = msg.dst_node;
+  view.src_lane = msg.off_node ? msg.src_nic - msg.src_node * lanes : -1;
+  view.dst_lane = msg.off_node ? msg.dst_nic - msg.dst_node * lanes : -1;
+  view.send_occupancy = msg.send_occupancy;
+  view.drain_occupancy = msg.drain_occupancy;
+  view.completion_base = msg.completion_base;
+  view.nic_occupancy = msg.nic_occupancy;
   view.nic_overhead = params_.overheads.nic_message_overhead;
   const FaultModel::EffectiveMessage eff = faults_->effective(view, ready);
   st.send_occupancy = eff.send_occupancy;
@@ -479,7 +475,7 @@ void Engine::run_phase(const LoweredPhase& phase,
         break;
     }
   }
-  if (num_messages != 0) schedule_messages(phase, order);
+  schedule_messages(phase, order);
 }
 
 void Engine::schedule_messages(const LoweredPhase& phase,
@@ -509,10 +505,7 @@ void Engine::schedule_messages(const LoweredPhase& phase,
     std::uint8_t fault_path = 0;
     if (faults_) {
       fault_path = phase.message_meta[i].path_id;
-      fst = fault_prepare(msg.src, fault_path, msg.off_node, msg.src_node,
-                          msg.dst_node, msg.src_nic, msg.dst_nic,
-                          msg.send_occupancy, msg.drain_occupancy,
-                          msg.completion_base, msg.nic_occupancy, ready0);
+      fst = fault_prepare(msg, fault_path, ready0);
       if (fst.degraded && metrics_smp_) {
         metrics_smp_->on_fault_degraded(fault_path, fst.extra_seconds);
       }

@@ -264,10 +264,8 @@ class Engine {
   // faults_ != nullptr.  fault_prepare() keys the message by the next
   // schedule-order id (fault_msg_counter_).
   [[nodiscard]] FaultMsgState fault_prepare(
-      std::int32_t src, std::uint8_t path_id, bool off_node,
-      std::int32_t src_node, std::int32_t dst_node, std::int32_t src_nic,
-      std::int32_t dst_nic, double send_occupancy, double drain_occupancy,
-      double completion_base, double nic_occupancy, double ready);
+      const LoweredPhase::MessageSchedule& msg, std::uint8_t path_id,
+      double ready);
   /// Outage-aware lane selection for NIC server `nic_server`
   /// (= node*lanes + lane) at time `t`.  Returns the server index to use,
   /// advancing `t` to the earliest recovery when every lane of the node is
