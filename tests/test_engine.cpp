@@ -2,8 +2,26 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <cstdlib>
+#include <new>
 #include <set>
 #include <utility>
+
+// Counts every global allocation in this test binary, so a test can check
+// that a warmed-up call allocates nothing.  noinline keeps GCC from pairing
+// an inlined malloc with free and warning (-Wmismatched-new-delete).
+namespace {
+std::atomic<long> g_allocations{0};
+}  // namespace
+
+[[gnu::noinline]] void* operator new(std::size_t size) {
+  g_allocations.fetch_add(1, std::memory_order_relaxed);
+  if (void* p = std::malloc(size == 0 ? 1 : size)) return p;
+  throw std::bad_alloc();
+}
+[[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t) noexcept { operator delete(p); }
 
 namespace hetcomm {
 namespace {
@@ -386,6 +404,31 @@ TEST_F(EngineTest, MoveMidSweepPreservesPendingOperations) {
   assigned = std::move(source2);
   post_second_half_and_resolve(assigned);
   EXPECT_EQ(uninterrupted.max_clock(), assigned.max_clock());
+}
+
+TEST_F(EngineTest, WarmResolveAllocatesNothing) {
+  // Matching, lowering and scheduling run on member-owned scratch: once a
+  // batch of this shape has been resolved, posting and resolving it again
+  // allocates nothing -- receives first, repeated keys, a rail and a
+  // depends_on chain included.
+  Engine engine(topo_, params_, NoiseModel(3, 0.05));
+  const int far = topo_.num_ranks() - 1;
+  const auto post_and_resolve = [&] {
+    for (int k = 0; k < 4; ++k) engine.irecv(far, 0, 1000 + k, 7, MemSpace::Host);
+    int prev = -1;
+    for (int k = 0; k < 4; ++k) {
+      prev = engine.isend(0, far, 1000 + k, 7, MemSpace::Host, 0, prev);
+    }
+    engine.isend(1, 2, 300000, 1, MemSpace::Device);
+    engine.irecv(2, 1, 300000, 1, MemSpace::Device);
+    engine.copy(3, 0, CopyDir::DeviceToHost, 5000);
+    engine.resolve();
+  };
+  post_and_resolve();
+  post_and_resolve();
+  const long before = g_allocations.load();
+  post_and_resolve();
+  EXPECT_EQ(g_allocations.load() - before, 0);
 }
 
 TEST(EngineNoise, ZeroSigmaIsDeterministic) {
