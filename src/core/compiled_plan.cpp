@@ -77,14 +77,7 @@ CompiledPlan::CompiledPlan(const CommPlan& plan, const Topology& topo,
   for (const PlanPhase& phase : plan.phases) {
     CompiledPhase out;
     out.steps.reserve(phase.ops.size());
-    // Receives each rank has posted in this phase: its queue-search depth.
     std::fill(recv_depth.begin(), recv_depth.end(), 0);
-    for (const PlanOp& op : phase.ops) {
-      if (op.type == OpType::Message && op.dst_rank >= 0 &&
-          op.dst_rank < num_ranks_) {
-        ++recv_depth[static_cast<std::size_t>(op.dst_rank)];
-      }
-    }
 
     for (const PlanOp& op : phase.ops) {
       switch (op.type) {
@@ -107,8 +100,8 @@ CompiledPlan::CompiledPlan(const CommPlan& plan, const Topology& topo,
               {StepKind::Message,
                static_cast<std::uint32_t>(out.messages.size())});
           lower_message(out, topo, params, paths, op.src_rank, op.dst_rank,
-                        op.bytes, op.tag, op.space, op.rail,
-                        recv_depth[static_cast<std::size_t>(op.dst_rank)]);
+                        op.bytes, op.tag, op.space, op.rail);
+          ++recv_depth[static_cast<std::size_t>(op.dst_rank)];
           break;
         }
         case OpType::Copy: {
@@ -152,6 +145,7 @@ CompiledPlan::CompiledPlan(const CommPlan& plan, const Topology& topo,
     // derives per call is therefore the identity.
     out.recv_of_send.resize(out.messages.size());
     std::iota(out.recv_of_send.begin(), out.recv_of_send.end(), 0u);
+    out.add_queue_search(params, recv_depth);
     out.build_waves(wave_depth);
 
     phases_.push_back(std::move(out));

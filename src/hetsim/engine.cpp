@@ -293,9 +293,10 @@ void Engine::resolve() {
     }
     phase.msg_dep.push_back(dep);
     lower_message(phase, topo_, params_, paths_, s.self, s.peer, s.bytes, s.tag,
-                  s.space, s.rail, recv_depth_scratch_[s.peer]);
+                  s.space, s.rail);
     post_send_scratch_[i] = s.post_time;
   }
+  phase.add_queue_search(params_, recv_depth_scratch_);
   phase.build_waves(wave_depth_scratch_);
   post_recv_scratch_.resize(recvs_.size());
   for (std::size_t j = 0; j < recvs_.size(); ++j) {

@@ -6,6 +6,15 @@
 
 namespace hetcomm {
 
+void LoweredPhase::add_queue_search(const ParamSet& params,
+                                    const std::vector<int>& recv_depth) {
+  for (MessageSchedule& msg : messages) {
+    msg.completion_base =
+        msg.send_occupancy + params.overheads.queue_search_per_entry *
+                                 recv_depth[static_cast<std::size_t>(msg.dst)];
+  }
+}
+
 void LoweredPhase::build_waves(std::vector<std::int32_t>& depth) {
   // msg_dep edges point at earlier messages, so one forward pass computes
   // dep-chain depths and acyclicity is structural.
@@ -56,7 +65,7 @@ void LoweredPhase::clear() noexcept {
 void lower_message(LoweredPhase& phase, const Topology& topo,
                    const ParamSet& params, const PathTable& paths, int src,
                    int dst, std::int64_t bytes, int tag, MemSpace space,
-                   int rail, int queue_depth) {
+                   int rail) {
   LoweredPhase::MessageSchedule msg;
   msg.src = src;
   msg.dst = dst;
@@ -69,10 +78,6 @@ void lower_message(LoweredPhase& phase, const Topology& topo,
   const double size = static_cast<double>(bytes);
   msg.send_occupancy = pp.alpha + pp.beta * size;
   msg.drain_occupancy = pp.beta * size;
-  // Queue-search cost: proportional to how many receives the destination
-  // has posted in this phase (a proxy for posted-queue length).
-  msg.completion_base =
-      msg.send_occupancy + params.overheads.queue_search_per_entry * queue_depth;
   msg.rendezvous = proto == Protocol::Rendezvous;
   msg.off_node = path == PathClass::OffNode;
   if (msg.off_node) {

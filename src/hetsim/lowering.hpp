@@ -10,8 +10,9 @@
 //     the matched batch into a member-owned table, then schedules it;
 //   * core::CompiledPlan lowers every phase of a CommPlan once, and
 //     Engine::execute() replays the tables each repetition.
-// lower_message / lower_copy / lower_pack are the only places the cost
-// expressions are written, so the two entry points cannot drift apart.
+// lower_message / lower_copy / lower_pack and add_queue_search are the only
+// places the cost expressions are written, so the two entry points cannot
+// drift apart.
 
 #include <cstdint>
 #include <vector>
@@ -108,6 +109,11 @@ struct LoweredPhase {
   std::int64_t network_bytes = 0;
   std::int64_t network_messages = 0;
 
+  /// Fold the queue-search cost into every message's completion base:
+  /// proportional to `recv_depth[dst]`, the receives its destination has
+  /// posted in this phase (a proxy for posted-queue length).
+  void add_queue_search(const ParamSet& params,
+                        const std::vector<int>& recv_depth);
   /// Bucket the messages into wave_members/wave_begin from msg_dep.
   /// `depth` is caller-owned scratch.
   void build_waves(std::vector<std::int32_t>& depth);
@@ -116,14 +122,14 @@ struct LoweredPhase {
 };
 
 /// Append one message to `phase`'s message tables and network counters:
-/// its path class, protocol, alpha+beta*s occupancies, the queue-search
-/// term for `queue_depth` receives posted at `dst` in the same phase, and
-/// its NIC servers (`rail` >= 0 pins both ends to that lane).  Operands
-/// are assumed validated.
+/// its path class, protocol, alpha+beta*s occupancies and NIC servers
+/// (`rail` >= 0 pins both ends to that lane).  Its queue-search term
+/// joins once the phase is complete (add_queue_search).  Operands are
+/// assumed validated.
 void lower_message(LoweredPhase& phase, const Topology& topo,
                    const ParamSet& params, const PathTable& paths, int src,
                    int dst, std::int64_t bytes, int tag, MemSpace space,
-                   int rail, int queue_depth);
+                   int rail);
 
 /// A host<->device copy of `bytes` by `rank` against `gpu`'s DMA engine,
 /// one of `sharing_procs` concurrent sharers.
